@@ -14,13 +14,12 @@ convergence-scaling experiments.
 __version__ = "0.1.0"
 
 from .config import ColonyConfig, make_qualities
-from .engine import ConvergenceReport, Trace, derive_trial_stream, run
+from .engine import ConvergenceReport, Trace, run
 
 __all__ = [
     "ColonyConfig",
     "make_qualities",
     "ConvergenceReport",
     "Trace",
-    "derive_trial_stream",
     "run",
 ]

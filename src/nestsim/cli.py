@@ -24,6 +24,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed {value} is outside 0 <= seed < 2**64")
+    return value
+
+
 def _int_list(text: str):
     return tuple(int(x) for x in text.split(","))
 
@@ -62,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="one-good",
         help="one-good | all-good | random:p | explicit e.g. 1,0,1",
     )
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.add_argument("--max-rounds", type=int, default=0)
     p_run.add_argument("--out", help="trace file path (report goes next to it)")
     p_run.add_argument("--verbose-trace", action="store_true")
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", type=_int_list, default=(4,), metavar="K1,K2,...")
     p_sweep.add_argument("--qualities", default="all-good")
     p_sweep.add_argument("--trials", type=_positive_int, default=100)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     p_sweep.add_argument("--max-rounds", type=int, default=0)
     p_sweep.add_argument("--out", help="CSV output path")
 
@@ -85,19 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--active", type=_positive_int, default=2)
     p.add_argument("--passive", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = lsub.add_parser("retention")
     p.add_argument("--n", type=_positive_int, default=256)
     p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = lsub.add_parser("nest-delta")
     p.add_argument("--sizes", type=_int_list, required=True, metavar="S1,S2,...")
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = lsub.add_parser("eps-init")
@@ -105,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = lsub.add_parser("ratio-growth")
@@ -113,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--sizes", type=_int_list, required=True, metavar="S1,S2")
     p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = lsub.add_parser("dropout")
@@ -121,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=4)
     p.add_argument("--small", type=int, default=16)
     p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p_fit = sub.add_parser("fit", help="scaling-law fit over a sweep CSV")
@@ -141,7 +151,7 @@ def _apply_config_file(parser, argv):
         "n": _int_list,
         "k": _int_list,
         "trials": _positive_int,
-        "seed": int,
+        "seed": _seed,
         "max_rounds": int,
     }
     defaults = {}
@@ -158,7 +168,7 @@ def _apply_config_file(parser, argv):
 
 
 def cmd_run(args) -> int:
-    rng = stream_from_key(args.seed & (2**64 - 1))
+    rng = stream_from_key(args.seed)
     qualities = make_qualities(args.k, args.qualities, rng)
     config = ColonyConfig(
         n=args.n,
@@ -252,7 +262,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ConfigError, IndexError) as exc:
+    except (ConfigError, IndexError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -20,9 +20,12 @@ import numpy as np
 
 from .config import ColonyConfig
 from .matching import match_arrays
-from .optimal import K_GO, K_RECRUIT, K_SEARCH, OptimalCohort
+from .optimal import OptimalCohort
 from .simple import SimpleCohort
 from .world import (
+    K_GO,
+    K_RECRUIT,
+    K_SEARCH,
     Go,
     GoResult,
     PreconditionViolation,
@@ -68,13 +71,6 @@ class Trace:
         )
 
 
-def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent reproducible stream for one trial of an experiment."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([master_seed, trial_index]))
-    )
-
-
 def stream_from_key(*key: int) -> np.random.Generator:
     """Deterministic stream from an arbitrary tuple of non-negative ints."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
@@ -100,11 +96,12 @@ def _validate_arrays(world: WorldState, kind, target) -> str | None:
     return None
 
 
-def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng):
+def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng, record=False):
     """Apply all moves, run the matcher, compute end-of-round counts.
 
-    Returns (res_nest, res_count, counts, pairs) where pairs holds the
-    matcher's (recruiter, recruited) ant-id pairs for this round.
+    Returns (res_nest, res_count, counts, pairs).  With `record`, pairs is
+    an int64 array of the matcher's (recruiter, recruited) ant-id rows for
+    this round; otherwise it is None.
     """
     n, k = world.n, world.k
     loc = world.location
@@ -120,14 +117,13 @@ def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng):
     loc[goers] = target[goers]
     res_nest[goers] = target[goers]
     rec = np.nonzero(kind == K_RECRUIT)[0]
-    pairs = []
+    pairs = np.empty((0, 2), dtype=np.int64) if record else None
     if rec.size:
         loc[rec] = 0
-        local_pairs, returned = match_arrays(
-            b[rec].tolist(), target[rec].tolist(), rng
-        )
+        local_pairs, returned = match_arrays(b[rec] == 1, target[rec], rng)
         res_nest[rec] = returned
-        pairs = [(int(rec[i]), int(rec[j])) for i, j in local_pairs]
+        if record:
+            pairs = rec[local_pairs]
 
     counts = np.bincount(loc, minlength=k + 1)
     res_count[searchers] = counts[res_nest[searchers]]
@@ -139,11 +135,6 @@ def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng):
     world.visited[rec, res_nest[rec]] = True
     world.round = r
     return res_nest, res_count, counts, pairs
-
-
-def detect_convergence(config: ColonyConfig, cohort, world: WorldState):
-    """Winning nest id once the algorithm's convergence predicate holds."""
-    return cohort.convergence_nest()
 
 
 def run(
@@ -181,7 +172,7 @@ def run(
             reason = "precondition_violation"
             break
         res_nest, res_count, counts, pairs = _resolve_arrays(
-            world, r, kind, b, target, rng
+            world, r, kind, b, target, rng, record
         )
         if record:
             trace.per_ant.append(
@@ -211,7 +202,7 @@ def run(
             rec["locations"] = world.location.tolist()
         trace.append(rec)
 
-        w = detect_convergence(config, cohort, world)
+        w = cohort.convergence_nest()
         if w is not None and converged_at is None:
             converged_at = r
             win = w

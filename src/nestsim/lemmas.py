@@ -56,13 +56,10 @@ class ScenarioSpec:
             raise ScenarioError("trials must be positive")
 
     def pool(self):
-        """(active_flags, targets, group_index) lists for the matcher pool."""
-        flags, targets, gid = [], [], []
-        for g, (nest, count, active) in enumerate(self.groups):
-            flags.extend([active] * count)
-            targets.extend([nest] * count)
-            gid.extend([g] * count)
-        return flags, targets, gid
+        """(active_flags, targets, group_index) arrays for the matcher pool."""
+        nest, count, active = np.array(self.groups, dtype=np.int64).T
+        gid = np.repeat(np.arange(len(self.groups)), count)
+        return active[gid] != 0, nest[gid], gid
 
 
 @dataclass
@@ -116,18 +113,17 @@ def recruit_success_rate(spec: ScenarioSpec) -> EstimateReport:
     claimed floor is 1/16 whenever at least two ants share the home nest.
     """
     flags, targets, _ = spec.pool()
-    m = len(flags)
+    m = flags.size
     if m < 2:
         raise ScenarioError("success bound needs at least 2 ants at home")
-    try:
-        designated = flags.index(1)
-    except ValueError:
-        raise ScenarioError("scenario has no active recruiter") from None
+    if not flags.any():
+        raise ScenarioError("scenario has no active recruiter")
+    designated = int(flags.argmax())
     rng = stream_from_key(spec.seed)
     hits = 0
     for _ in range(spec.trials):
         pairs, _returned = match_arrays(flags, targets, rng)
-        for a, b in pairs:
+        for a, b in pairs.tolist():
             if a == designated and b != designated:
                 hits += 1
                 break
@@ -177,10 +173,8 @@ def ignorance_retention(
         r = 0
         while not informed.all() and r < max_rounds:
             r += 1
-            flags = informed.astype(np.int8).tolist()
-            targets = np.where(informed, 1, 2).tolist()
-            _pairs, returned = match_arrays(flags, targets, rng)
-            now = informed | (np.asarray(returned) == 1)
+            _pairs, returned = match_arrays(informed, np.where(informed, 1, 2), rng)
+            now = informed | (returned == 1)
             start = int(n - informed.sum())
             end = int(n - now.sum())
             if len(ign_start) < r:
@@ -236,8 +230,7 @@ def nest_delta_distribution(spec: ScenarioSpec) -> EstimateReport:
     if any(a != 1 for _, _, a in spec.groups):
         raise ScenarioError("all home ants must be active for this check")
     flags, targets, gid = spec.pool()
-    gid = np.asarray(gid)
-    m = len(flags)
+    m = flags.size
     ngroups = len(spec.groups)
     rng = stream_from_key(spec.seed)
     neg = np.zeros(ngroups, dtype=np.int64)
@@ -245,11 +238,10 @@ def nest_delta_distribution(spec: ScenarioSpec) -> EstimateReport:
     pos = np.zeros(ngroups, dtype=np.int64)
     for _ in range(spec.trials):
         pairs, _returned = match_arrays(flags, targets, rng)
-        y = np.zeros(ngroups, dtype=np.int64)
-        for a, b in pairs:
-            if a != b:
-                y[gid[a]] += 1
-                y[gid[b]] -= 1
+        led = pairs[pairs[:, 0] != pairs[:, 1]]
+        y = np.bincount(gid[led[:, 0]], minlength=ngroups) - np.bincount(
+            gid[led[:, 1]], minlength=ngroups
+        )
         neg += y < 0
         zero += y == 0
         pos += y > 0
@@ -393,9 +385,8 @@ def _one_recruit_cycle(commit: np.ndarray, n: int, k: int, rng) -> np.ndarray:
     """
     counts = np.bincount(commit, minlength=k + 1)
     p = counts[commit] / n
-    b = (rng.random(commit.size) < p).astype(np.int8)
-    _pairs, returned = match_arrays(b.tolist(), commit.tolist(), rng)
-    return np.asarray(returned, dtype=np.int64)
+    _pairs, returned = match_arrays(rng.random(commit.size) < p, commit, rng)
+    return returned
 
 
 def ratio_growth(

@@ -14,6 +14,31 @@ its owner is still eligible when reached in the permutation; unused picks
 are discarded.  Picks are i.i.d. uniform, so this is distributionally
 identical to drawing lazily.
 
+Given the permutation and the picks, the pairing is the sequential greedy
+maximal matching of a graph on R: each active ant a contributes the edge
+{a, pick(a)} (a self-loop on a self-pick), with priority a's position in
+the permutation, and edges are taken in priority order whenever both ends
+are still unmatched.  `match_core` runs that loop one ant at a time.
+`match_parallel` resolves it in rounds over arrays (Blelloch, Fineman and
+Shun, "Greedy Sequential Maximal Independent Set and Matching are Parallel
+on Average", SPAA 2012): every round accepts each remaining edge that has
+the lowest priority of all remaining edges at both of its ends, then drops
+every edge that touches an accepted one.  An accepted edge is exactly one
+the sequential loop takes: every edge ahead of it at either end is already
+gone, so the loop reaches it with both ends free.  A dropped edge is one the
+loop would reach with an end taken.  The lowest remaining edge is accepted
+every round, so the rounds end; on these random graphs they end after a
+handful.
+
+`match_arrays`, the entry point, resolves a pool of at least
+PARALLEL_MIN_POOL ants in rounds and a smaller one with `match_core`; both
+give the same pairing for the same draws.  The rounds pay a fixed ~20 array
+calls per round however small the pool, the loop a fixed cost per ant, and
+they cross near 128 ants.  Per call with the draws included, all ants
+active (numpy 2.4, one core of a shared 2-core Xeon): loop 13 us against
+rounds 34 us at 2 ants, 44 us against 63 us at 64, 100 us against 79 us at
+128, 185 us against 99 us at 256.
+
 An exact-enumeration oracle over the same probability space is provided for
 tiny pools.
 """
@@ -25,7 +50,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 MAX_EXACT_POOL = 6
+# smallest pool resolved in parallel rounds; below it the scalar loop is faster
+PARALLEL_MIN_POOL = 128
 
 
 class MatchError(ValueError):
@@ -79,22 +108,69 @@ def match_core(active, targets, perm, picks):
     return recruiter, returned
 
 
+def match_parallel(active, targets, perm, picks):
+    """`match_core` resolved in parallel greedy rounds over numpy arrays.
+
+    Same arguments and result as `match_core`: `active` is a bool array,
+    `targets`, `perm` and `picks` int arrays; returns (recruiter, returned)
+    as int64 arrays.
+    """
+    m = targets.size
+    # edge e is the e-th active ant in permutation order, so e is its priority
+    src = perm[active[perm]]
+    dst = picks[src]
+    pri = np.arange(src.size)
+    recruiter = np.full(m, -1, dtype=np.int64)
+    matched = np.zeros(m, dtype=bool)
+    lowest = np.empty(m, dtype=np.int64)
+    while src.size:
+        # lowest remaining priority at each end; an ant owns at most one edge
+        lowest.fill(m)
+        lowest[src] = pri
+        np.minimum.at(lowest, dst, pri)
+        win = (lowest[src] == pri) & (lowest[dst] == pri)
+        a, x = src[win], dst[win]
+        recruiter[x] = a
+        matched[a] = True
+        matched[x] = True
+        keep = ~(matched[src] | matched[dst])
+        src, dst, pri = src[keep], dst[keep], pri[keep]
+    returned = targets.copy()
+    led = np.flatnonzero((recruiter >= 0) & (recruiter != np.arange(m)))
+    returned[led] = targets[recruiter[led]]
+    return recruiter, returned
+
+
 def match_arrays(active, targets, rng):
     """One recruitment round over parallel pool arrays; the engine fast path.
 
-    Returns (pairs, returned) in pool positions: pairs is a list of
-    (recruiter, recruited) including self-pairs, returned a list of nests.
+    `active` holds each pool position's recruit flag (bool), `targets` its
+    nest.  Returns (pairs, returned) as int64 arrays in pool positions:
+    pairs has one (recruiter, recruited) row per led ant, self-pairs
+    included, in recruited order; returned holds each position's nest.
     """
-    m = len(targets)
-    perm = rng.permutation(m).tolist()
-    picks = [-1] * m
-    active_idx = [i for i in range(m) if active[i]]
-    if active_idx:
-        for i, v in zip(active_idx, rng.integers(0, m, size=len(active_idx))):
-            picks[i] = int(v)
-    recruiter, returned = match_core(active, targets, perm, picks)
-    pairs = [(recruiter[x], x) for x in range(m) if recruiter[x] != -1]
-    return pairs, returned
+    active = np.asarray(active, dtype=bool)
+    targets = np.asarray(targets, dtype=np.int64)
+    m = targets.size
+    perm = rng.permutation(m)
+    callers = active.nonzero()[0]
+    draws = rng.integers(0, m, size=callers.size) if callers.size else callers
+    if m < PARALLEL_MIN_POOL:
+        # match_core looks up a pick only for an active ant
+        picks = dict(zip(callers.tolist(), draws.tolist()))
+        recruiter, returned = match_core(
+            active.tolist(), targets.tolist(), perm.tolist(), picks
+        )
+        pairs = [(r, x) for x, r in enumerate(recruiter) if r != -1]
+        return (
+            np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            np.array(returned, dtype=np.int64),
+        )
+    picks = np.full(m, -1, dtype=np.int64)
+    picks[callers] = draws
+    recruiter, returned = match_parallel(active, targets, perm, picks)
+    led = (recruiter >= 0).nonzero()[0]
+    return np.stack((recruiter[led], led), axis=1), returned
 
 
 def match_round(calls, rng) -> MatchOutcome:
@@ -108,8 +184,9 @@ def match_round(calls, rng) -> MatchOutcome:
     active = [c.active for c in calls]
     targets = [c.target for c in calls]
     pairs, returned = match_arrays(active, targets, rng)
+    returned = returned.tolist()
     return MatchOutcome(
-        pairs=tuple(sorted((ants[a], ants[b]) for a, b in pairs)),
+        pairs=tuple(sorted((ants[a], ants[b]) for a, b in pairs.tolist())),
         returned={ants[x]: returned[x] for x in range(len(calls))},
     )
 

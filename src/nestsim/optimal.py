@@ -18,13 +18,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .world import Go, GoResult, Recruit, RecruitResult, Search, SearchResult
+from .world import (
+    K_GO,
+    K_RECRUIT,
+    K_SEARCH,
+    Go,
+    GoResult,
+    Recruit,
+    RecruitResult,
+    Search,
+    SearchResult,
+)
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
-
-# request kinds shared with the engine
-K_SEARCH, K_GO, K_RECRUIT = 0, 1, 2
 
 
 def subround(r: int) -> int:

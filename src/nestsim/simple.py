@@ -15,11 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .world import Go, GoResult, Recruit, RecruitResult, Search, SearchResult
-
-K_SEARCH, K_GO, K_RECRUIT = 0, 1, 2
-
 import numpy as np
+
+from .world import (
+    K_GO,
+    K_RECRUIT,
+    K_SEARCH,
+    Go,
+    GoResult,
+    Recruit,
+    RecruitResult,
+    Search,
+    SearchResult,
+)
 
 
 def recruit_decision(count: int, n: int, rng) -> int:

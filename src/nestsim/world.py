@@ -15,6 +15,9 @@ import numpy as np
 
 HOME = 0
 
+# request kinds, as the strategies' vectorized cohorts emit them to the engine
+K_SEARCH, K_GO, K_RECRUIT = 0, 1, 2
+
 
 class PreconditionViolation(RuntimeError):
     """An ant issued a request its history does not permit: an algorithm bug."""

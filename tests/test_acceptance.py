@@ -78,7 +78,10 @@ def test_acceptance_01_matcher_oracle_equivalence():
             freq = {}
             for _ in range(draws):
                 pairs, returned = match_arrays(list(active), list(targets), rng)
-                key = (tuple(sorted(pairs)), tuple(enumerate(returned)))
+                key = (
+                    tuple(sorted(map(tuple, pairs.tolist()))),
+                    tuple(enumerate(returned.tolist())),
+                )
                 freq[key] = freq.get(key, 0) + 1
             checked += 1
             for key in set(dist) | set(freq):

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from nestsim.config import ColonyConfig
-from nestsim.engine import (
-    derive_trial_stream,
-    resolve_round,
-    run,
-    stream_from_key,
-)
+from nestsim.engine import resolve_round, run, stream_from_key
 from nestsim.world import (
     Go,
     GoResult,
@@ -65,14 +60,14 @@ def test_round_cap_is_reported():
     assert report.winning_nest is None
 
 
-def test_derive_trial_stream_contract():
-    a = derive_trial_stream(42, 0).random()
-    b = derive_trial_stream(42, 0).random()
+def test_stream_from_key_contract():
+    a = stream_from_key(42, 0).random()
+    b = stream_from_key(42, 0).random()
     assert a == b
-    assert derive_trial_stream(42, 0).integers(0, 2**63) != derive_trial_stream(
+    assert stream_from_key(42, 0).integers(0, 2**63) != stream_from_key(
         42, 1
     ).integers(0, 2**63)
-    firsts = [derive_trial_stream(7, t).random() for t in range(10_000)]
+    firsts = [stream_from_key(7, t).random() for t in range(10_000)]
     assert abs(np.mean(firsts) - 0.5) < 0.02
 
 

@@ -130,6 +130,23 @@ def test_cli_run_usage_error():
     assert cli.main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "16", "--k", "2"],
+        ["sweep", "--n", "16", "--k", "2", "--trials", "2"],
+        ["lemma", "recruit-success", "--trials", "10"],
+    ],
+    ids=["run", "sweep", "lemma"],
+)
+def test_cli_rejects_bad_seed(argv, seed, capsys):
+    assert cli.main([*argv, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err
+    assert "Traceback" not in err
+
+
 def test_cli_run_bad_quality_vector():
     assert cli.main(["run", "--n", "16", "--k", "2", "--qualities", "0,0"]) == 2
 

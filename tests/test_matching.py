@@ -1,15 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestsim.engine import stream_from_key
 from nestsim.matching import (
+    PARALLEL_MIN_POOL,
     MatchError,
     MatchOutcome,
     RecruitCall,
     exact_distribution,
+    match_arrays,
+    match_core,
+    match_parallel,
     match_round,
     success_indicator,
 )
@@ -133,3 +138,75 @@ def test_match_round_deterministic_per_seed():
     a = [match_round(calls, stream_from_key(9)).key() for _ in range(3)]
     b = [match_round(calls, stream_from_key(9)).key() for _ in range(3)]
     assert a == b
+
+
+# --- parallel rounds against the sequential loop ---
+
+@st.composite
+def pools(draw):
+    """(active, targets, perm, picks) lists for one pool, on either side of
+    the size at which match_arrays switches to parallel rounds."""
+    m = draw(
+        st.one_of(
+            st.integers(1, 8),
+            st.integers(PARALLEL_MIN_POOL - 4, PARALLEL_MIN_POOL + 64),
+        )
+    )
+    active = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    targets = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    perm = draw(st.permutations(range(m)))
+    picks = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    return active, targets, perm, picks
+
+
+_M = PARALLEL_MIN_POOL + 2
+_ALL_ACTIVE = [True] * _M
+_TARGETS = [1 + i % 3 for i in range(_M)]
+_REVERSED = list(range(_M))[::-1]
+
+
+@given(pool=pools())
+@example(pool=([True], [2], [0], [0]))
+@example(pool=([False] * _M, _TARGETS, _REVERSED, [0] * _M))
+@example(pool=(_ALL_ACTIVE, _TARGETS, _REVERSED, list(range(_M))))
+@example(pool=(_ALL_ACTIVE, _TARGETS, _REVERSED, [i ^ 1 for i in range(_M)]))
+@settings(max_examples=150, deadline=None)
+def test_parallel_rounds_equal_match_core(pool):
+    # the examples: one ant; nobody active; every ant picks itself; every
+    # ant picks its partner in a mutual pair a <-> a^1
+    active, targets, perm, picks = pool
+    recruiter, returned = match_parallel(
+        np.array(active, dtype=bool),
+        np.array(targets, dtype=np.int64),
+        np.array(perm, dtype=np.int64),
+        np.array(picks, dtype=np.int64),
+    )
+    want_recruiter, want_returned = match_core(active, targets, perm, picks)
+    assert recruiter.tolist() == want_recruiter
+    assert returned.tolist() == want_returned
+
+
+@pytest.mark.parametrize("m", [1, 2, PARALLEL_MIN_POOL - 1, PARALLEL_MIN_POOL, 5000])
+def test_match_arrays_replays_documented_draws(m):
+    # one permutation, then one batch of picks over the active ants in
+    # ant-index order; either branch must pair exactly as match_core does
+    for seed in range(5):
+        setup = stream_from_key(seed, m)
+        active = setup.random(m) < setup.random()
+        targets = setup.integers(1, 5, size=m)
+        pairs, returned = match_arrays(active, targets, stream_from_key(seed))
+        replay = stream_from_key(seed)
+        perm = replay.permutation(m).tolist()
+        picks = [-1] * m
+        callers = np.flatnonzero(active).tolist()
+        if callers:
+            for i, v in zip(callers, replay.integers(0, m, size=len(callers))):
+                picks[i] = int(v)
+        recruiter, want_returned = match_core(
+            active.tolist(), targets.tolist(), perm, picks
+        )
+        assert pairs.dtype == np.int64 and returned.dtype == np.int64
+        assert pairs.reshape(-1, 2).tolist() == [
+            [recruiter[x], x] for x in range(m) if recruiter[x] != -1
+        ]
+        assert returned.tolist() == want_returned

@@ -6,16 +6,23 @@ from nestsim.engine import run, stream_from_key
 from nestsim.optimal import (
     ACTIVE,
     FINAL,
-    K_GO,
-    K_RECRUIT,
-    K_SEARCH,
     PASSIVE,
     OptimalAntState,
     committed_nest,
     step,
     subround,
 )
-from nestsim.world import Go, GoResult, Recruit, RecruitResult, Search, SearchResult
+from nestsim.world import (
+    K_GO,
+    K_RECRUIT,
+    K_SEARCH,
+    Go,
+    GoResult,
+    Recruit,
+    RecruitResult,
+    Search,
+    SearchResult,
+)
 
 
 def drive(results):

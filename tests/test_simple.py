@@ -3,8 +3,18 @@ import pytest
 
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
-from nestsim.simple import K_GO, K_RECRUIT, K_SEARCH, SimpleAntState, recruit_decision, step
-from nestsim.world import Go, GoResult, Recruit, RecruitResult, Search, SearchResult
+from nestsim.simple import SimpleAntState, recruit_decision, step
+from nestsim.world import (
+    K_GO,
+    K_RECRUIT,
+    K_SEARCH,
+    Go,
+    GoResult,
+    Recruit,
+    RecruitResult,
+    Search,
+    SearchResult,
+)
 
 
 class FixedRng:
