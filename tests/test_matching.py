@@ -206,7 +206,8 @@ def test_match_arrays_replays_documented_draws(m):
             active.tolist(), targets.tolist(), perm, picks
         )
         assert pairs.dtype == np.int64 and returned.dtype == np.int64
-        assert pairs.reshape(-1, 2).tolist() == [
+        assert pairs.shape[1] == 2
+        assert pairs.tolist() == [
             [recruiter[x], x] for x in range(m) if recruiter[x] != -1
         ]
         assert returned.tolist() == want_returned
