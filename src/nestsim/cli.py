@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single seeded run, JSONL trace + report")
-    p_run.add_argument("--config", help="key=value file providing flag defaults")
+    p_run.add_argument("--config", help="key=value file of flag values; flags given win")
     p_run.add_argument("--algo", choices=("optimal", "simple"), default="simple")
     p_run.add_argument("--n", type=_positive_int, default=256)
     p_run.add_argument("--k", type=_positive_int, default=4)
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--verbose-trace", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="trial sweep over (n, k) cells, CSV out")
-    p_sweep.add_argument("--config", help="key=value file providing flag defaults")
+    p_sweep.add_argument("--config", help="key=value file of flag values; flags given win")
     p_sweep.add_argument("--algo", choices=("optimal", "simple"), default="simple")
     p_sweep.add_argument("--n", type=_int_list, default=(64, 256), metavar="N1,N2,...")
     p_sweep.add_argument("--k", type=_int_list, default=(4,), metavar="K1,K2,...")
@@ -141,30 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Use a --config file's key=value pairs as flag defaults."""
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    raw = load_config_file(path)
-    converters = {
-        "n": _int_list,
-        "k": _int_list,
-        "trials": _positive_int,
-        "seed": _seed,
-        "max_rounds": int,
-    }
-    defaults = {}
-    for key, value in raw.items():
-        conv = converters.get(key)
-        defaults[key] = conv(value) if conv else value
-    # single run takes scalar n/k
-    if "n" in defaults and len(defaults["n"]) == 1 and argv[0] == "run":
-        defaults["n"] = defaults["n"][0]
-    if "k" in defaults and len(defaults["k"]) == 1 and argv[0] == "run":
-        defaults["k"] = defaults["k"][0]
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k: v for k, v in defaults.items() if k != "config"})
+def _config_flags(path) -> list:
+    """A --config file's key=value lines as --key value flag tokens."""
+    tokens = []
+    for key, value in load_config_file(path).items():
+        tokens += [f"--{key.replace('_', '-')}", value]
+    return tokens
 
 
 def cmd_run(args) -> int:
@@ -258,11 +240,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if vars(args).get("config"):
+            # after the subcommand and ahead of the user's flags, which win
+            argv[1:1] = _config_flags(args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ConfigError, IndexError, argparse.ArgumentTypeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 ALGORITHMS = ("optimal", "simple")
 
-# Constants the published analyses instantiate the nest-count regime with.
+# Constants the published analyses instantiate the nest-count regime and the
+# lemma bounds with: c is the failure exponent, d bounds the small-nest size.
 REGIME_C = 1
 REGIME_D = 64
 
@@ -81,15 +82,21 @@ def make_qualities(k: int, pattern: str, rng=None) -> tuple:
     """Build a quality vector from a named pattern.
 
     Patterns: "one-good" (nest 1 suitable, rest not), "all-good", or
-    "random:p" (each nest suitable with probability p, redrawn until at
-    least one is).  "random:p" requires an rng.
+    "random:p" (each nest suitable with probability p, 0 < p <= 1, redrawn
+    until at least one is).  "random:p" requires an rng.
     """
     if pattern == "one-good":
         return (1,) + (0,) * (k - 1)
     if pattern == "all-good":
         return (1,) * k
     if pattern.startswith("random:"):
-        p = float(pattern.split(":", 1)[1])
+        try:
+            p = float(pattern.split(":", 1)[1])
+        except ValueError:
+            p = math.nan  # rejected below
+        # p <= 0 would redraw forever
+        if not 0 < p <= 1:
+            raise ConfigError(f"{pattern!r}: p must be a number with 0 < p <= 1")
         if rng is None:
             raise ConfigError("random quality pattern needs an rng")
         while True:
@@ -117,5 +124,5 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip()] = value.strip()
     return out

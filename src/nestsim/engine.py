@@ -1,9 +1,11 @@
 """Synchronous round driver.
 
-Each round: collect one request per ant, validate preconditions, place
-searchers on uniform random nests, move go-ers, resolve all recruiters in a
-single matching, compute end-of-round counts, deliver results, and check
-the algorithm's convergence predicate.
+Each round: collect one request per ant from the strategy's cohort as
+arrays, check them with `world.validate`, place searchers on uniform random
+nests, move go-ers, resolve all recruiters in a single matching, compute
+end-of-round counts, hand the results back to the cohort, and check its
+convergence predicate.  A request that breaks the primitive contract ends
+the run with reason "precondition_violation".
 
 Per-round randomness is consumed in a fixed order so traces replay exactly
 from the seed: (1) the recruit-or-not batch drawn while collecting requests
@@ -22,20 +24,7 @@ from .config import ColonyConfig
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import (
-    K_GO,
-    K_RECRUIT,
-    K_SEARCH,
-    Go,
-    GoResult,
-    PreconditionViolation,
-    Recruit,
-    RecruitResult,
-    Search,
-    SearchResult,
-    WorldState,
-    validate_request,
-)
+from .world import K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
 
 
 class EngineError(RuntimeError):
@@ -58,7 +47,6 @@ class Trace:
 
     def __init__(self):
         self.records = []            # one dict per round
-        self.per_ant = None          # populated in record mode
         self.post_winners = []       # winners seen after first convergence
 
     def append(self, rec: dict):
@@ -82,26 +70,11 @@ def make_cohort(config: ColonyConfig):
     return SimpleCohort(config)
 
 
-def _validate_arrays(world: WorldState, kind, target) -> str | None:
-    """First violation message among the round's requests, or None."""
-    moving = kind != K_SEARCH
-    bad_range = moving & ((target < 1) | (target > world.k))
-    if np.any(bad_range):
-        ant = int(np.nonzero(bad_range)[0][0])
-        return f"ant {ant}: target {int(target[ant])} is not a candidate nest"
-    unseen = moving & ~world.visited[np.arange(world.n), target]
-    if np.any(unseen):
-        ant = int(np.nonzero(unseen)[0][0])
-        return f"ant {ant}: has never been at nest {int(target[ant])}"
-    return None
-
-
-def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng, record=False):
+def _resolve_arrays(world: WorldState, kind, b, target, rng):
     """Apply all moves, run the matcher, compute end-of-round counts.
 
-    Returns (res_nest, res_count, counts, pairs).  With `record`, pairs is
-    an int64 array of the matcher's (recruiter, recruited) ant-id rows for
-    this round; otherwise it is None.
+    Returns (res_nest, res_count, counts): each ant's result nest and count,
+    and the per-nest populations.
     """
     n, k = world.n, world.k
     loc = world.location
@@ -117,13 +90,10 @@ def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng, record=Fals
     loc[goers] = target[goers]
     res_nest[goers] = target[goers]
     rec = np.nonzero(kind == K_RECRUIT)[0]
-    pairs = np.empty((0, 2), dtype=np.int64) if record else None
     if rec.size:
         loc[rec] = 0
-        local_pairs, returned = match_arrays(b[rec] == 1, target[rec], rng)
+        _pairs, returned = match_arrays(b[rec] == 1, target[rec], rng)
         res_nest[rec] = returned
-        if record:
-            pairs = rec[local_pairs]
 
     counts = np.bincount(loc, minlength=k + 1)
     res_count[searchers] = counts[res_nest[searchers]]
@@ -133,30 +103,25 @@ def _resolve_arrays(world: WorldState, r: int, kind, b, target, rng, record=Fals
     world.visited[np.arange(n), loc] = True
     # being led somewhere counts as having been shown the nest
     world.visited[rec, res_nest[rec]] = True
-    world.round = r
-    return res_nest, res_count, counts, pairs
+    return res_nest, res_count, counts
 
 
 def run(
     config: ColonyConfig,
     rng: np.random.Generator | None = None,
     verbose: bool = False,
-    record: bool = False,
     continue_rounds: int = 0,
 ):
     """Execute one seeded run; returns (Trace, ConvergenceReport).
 
     `continue_rounds` keeps the run going past first convergence, recording
-    the winner seen each extra round in trace.post_winners.  `record`
-    captures per-ant request/result arrays each round (for tests).
+    the winner seen each extra round in trace.post_winners.
     """
     if rng is None:
         rng = stream_from_key(config.seed)
     cohort = make_cohort(config)
-    world = WorldState(config.n, config.k, config.qualities)
+    world = WorldState(config.n, config.k)
     trace = Trace()
-    if record:
-        trace.per_ant = []
     converged_at = None
     win = None
     reason = "round_cap"
@@ -167,31 +132,10 @@ def run(
         if converged_at is None and r > config.max_rounds:
             break
         kind, b, target = cohort.emit(r, rng)
-        violation = _validate_arrays(world, kind, target)
-        if violation is not None:
+        if validate(world, kind, target) is not None:
             reason = "precondition_violation"
             break
-        res_nest, res_count, counts, pairs = _resolve_arrays(
-            world, r, kind, b, target, rng, record
-        )
-        if record:
-            trace.per_ant.append(
-                {
-                    "round": r,
-                    "kind": kind.copy(),
-                    "b": b.copy(),
-                    "target": target.copy(),
-                    "res_nest": res_nest.copy(),
-                    "res_count": res_count.copy(),
-                    "pairs": pairs,
-                    "block": getattr(cohort, "block", None).copy()
-                    if hasattr(cohort, "block")
-                    else None,
-                    "mode_before": cohort.mode.copy()
-                    if hasattr(cohort, "mode")
-                    else cohort.active.copy(),
-                }
-            )
+        res_nest, res_count, counts = _resolve_arrays(world, kind, b, target, rng)
         cohort.absorb(r, res_nest, res_count)
         rec = {
             "round": r,
@@ -223,49 +167,3 @@ def run(
     )
     return trace, report
 
-
-def resolve_round(requests: dict, world: WorldState, rng: np.random.Generator) -> dict:
-    """Resolve one round of explicit per-ant requests.
-
-    `requests` must hold exactly one Search/Go/Recruit per ant id 0..n-1.
-    Returns a dict ant id -> result.  Raises PreconditionViolation for an
-    invalid request.  SearchResult qualities require the world to carry the
-    quality vector.
-    """
-    n = world.n
-    if set(requests) != set(range(n)):
-        raise PreconditionViolation("need exactly one request per ant")
-    kind = np.empty(n, dtype=np.int8)
-    b = np.zeros(n, dtype=np.int8)
-    target = np.zeros(n, dtype=np.int64)
-    for ant, req in requests.items():
-        validate_request(world, ant, req)
-        if isinstance(req, Search):
-            kind[ant] = K_SEARCH
-        elif isinstance(req, Go):
-            kind[ant] = K_GO
-            target[ant] = req.target
-        else:
-            kind[ant] = K_RECRUIT
-            b[ant] = req.active
-            target[ant] = req.target
-    res_nest, res_count, counts, _pairs = _resolve_arrays(
-        world, world.round + 1, kind, b, target, rng
-    )
-    out = {}
-    for ant, req in requests.items():
-        if isinstance(req, Search):
-            if world.qualities is None:
-                raise EngineError("world has no quality vector for search results")
-            out[ant] = SearchResult(
-                nest=int(res_nest[ant]),
-                quality=world.qualities[int(res_nest[ant]) - 1],
-                count=int(res_count[ant]),
-            )
-        elif isinstance(req, Go):
-            out[ant] = GoResult(count=int(res_count[ant]))
-        else:
-            out[ant] = RecruitResult(
-                nest=int(res_nest[ant]), home_count=int(res_count[ant])
-            )
-    return out

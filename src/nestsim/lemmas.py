@@ -17,13 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import REGIME_C, REGIME_D
 from .engine import stream_from_key
 from .matching import match_arrays
-
-# constants the bounds are instantiated with; both appear in the analyzed
-# round budgets (d bounds the small-nest threshold, c the failure exponent)
-DEFAULT_D = 64
-DEFAULT_C = 1
 
 RECRUIT_SUCCESS_BOUND = Fraction(1, 16)
 RETENTION_BOUND = 0.25
@@ -301,6 +297,8 @@ def initial_gap_expectation(
     throws n ants into k nests and averages the gap of nests (1, 2) over the
     both-nonzero samples, reporting the excluded mass.
     """
+    if n < 2 or k < 2:
+        raise ScenarioError("the gap of a nest pair needs n >= 2 and k >= 2")
     bound = Fraction(1, 3 * (n - 1))
     if mode == "exact":
         if k != 2 or not 2 <= n <= 30:
@@ -395,13 +393,15 @@ def ratio_growth(
     sizes: tuple,
     trials: int,
     seed: int,
-    d: int = DEFAULT_D,
+    d: int = REGIME_D,
 ) -> EstimateReport:
     """Mean relative-gap growth of two large nests over one recruitment round.
 
     Both nests must hold at least n/(dk) ants.  The claimed multiplier is
     (1 + 1/(2dk)) on the expected gap.
     """
+    if len(sizes) != 2:
+        raise ScenarioError("sizes must name exactly two nests")
     s1, s2 = int(sizes[0]), int(sizes[1])
     threshold = n / (d * k)
     if s1 < threshold or s2 < threshold:
@@ -449,8 +449,8 @@ def dropout_time(
     seeded_small_nest: int,
     trials: int,
     seed: int,
-    c: int = DEFAULT_C,
-    d: int = DEFAULT_D,
+    c: int = REGIME_C,
+    d: int = REGIME_D,
 ) -> EstimateReport:
     """Rounds until an initially small nest's population reaches zero.
 

@@ -37,50 +37,16 @@ calls per round however small the pool, the loop a fixed cost per ant, and
 they cross near 128 ants.  Per call with the draws included, all ants
 active (numpy 2.4, one core of a shared 2-core Xeon): loop 13 us against
 rounds 34 us at 2 ants, 44 us against 63 us at 64, 100 us against 79 us at
-128, 185 us against 99 us at 256.
-
-An exact-enumeration oracle over the same probability space is provided for
-tiny pools.
+128, 185 us against 99 us at 256.  The exact outcome distribution that
+the tests hold both against is enumerated in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
-MAX_EXACT_POOL = 6
 # smallest pool resolved in parallel rounds; below it the scalar loop is faster
 PARALLEL_MIN_POOL = 128
-
-
-class MatchError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class RecruitCall:
-    ant: int
-    active: int      # 1 = recruiting, 0 = waiting
-    target: int      # candidate nest the ant advocates
-
-    def __post_init__(self):
-        if self.target == 0:
-            raise MatchError("recruit target must be a candidate nest")
-
-
-@dataclass(frozen=True)
-class MatchOutcome:
-    """Pairing set plus the nest id handed back to each caller."""
-
-    pairs: tuple       # sorted tuple of (recruiter, recruited) ant-id pairs
-    returned: dict     # ant id -> nest id
-
-    def key(self):
-        return (self.pairs, tuple(sorted(self.returned.items())))
 
 
 def match_core(active, targets, perm, picks):
@@ -172,74 +138,3 @@ def match_arrays(active, targets, rng):
     led = (recruiter >= 0).nonzero()[0]
     return np.stack((recruiter[led], led), axis=1), returned
 
-
-def match_round(calls, rng) -> MatchOutcome:
-    """Run one recruitment round for a set of RecruitCalls."""
-    calls = sorted(calls, key=lambda c: c.ant)
-    if not calls:
-        raise MatchError("empty call set")
-    ants = [c.ant for c in calls]
-    if len(set(ants)) != len(ants):
-        raise MatchError("duplicate ant in call set")
-    active = [c.active for c in calls]
-    targets = [c.target for c in calls]
-    pairs, returned = match_arrays(active, targets, rng)
-    returned = returned.tolist()
-    return MatchOutcome(
-        pairs=tuple(sorted((ants[a], ants[b]) for a, b in pairs.tolist())),
-        returned={ants[x]: returned[x] for x in range(len(calls))},
-    )
-
-
-def success_indicator(outcome: MatchOutcome, ant: int) -> int:
-    """+1 led another ant, -1 was led away, 0 otherwise (self-pairs inert)."""
-    for a, b in outcome.pairs:
-        if a == b:
-            continue
-        if a == ant:
-            return 1
-        if b == ant:
-            return -1
-    return 0
-
-
-def exact_distribution(calls) -> dict:
-    """Exact outcome distribution by brute force over tiny pools.
-
-    Enumerates every permutation of the pool and every pick vector of the
-    active callers, each atom weighted 1/(|R|! * |R|^|S|).  Returns a map
-    from MatchOutcome.key() to an exact Fraction; values sum to 1.
-    """
-    calls = sorted(calls, key=lambda c: c.ant)
-    ants = [c.ant for c in calls]
-    if len(set(ants)) != len(ants):
-        raise MatchError("duplicate ant in call set")
-    m = len(calls)
-    if not 1 <= m <= MAX_EXACT_POOL:
-        raise MatchError(f"exact enumeration supports 1..{MAX_EXACT_POOL} calls")
-    active = [c.active for c in calls]
-    targets = [c.target for c in calls]
-    active_idx = [i for i in range(m) if active[i]]
-    weight = Fraction(1, math.factorial(m) * m ** len(active_idx))
-
-    dist = {}
-    for perm in itertools.permutations(range(m)):
-        for pick_vec in itertools.product(range(m), repeat=len(active_idx)):
-            picks = [-1] * m
-            for i, v in zip(active_idx, pick_vec):
-                picks[i] = v
-            recruiter, returned = match_core(active, targets, perm, picks)
-            outcome = MatchOutcome(
-                pairs=tuple(
-                    sorted(
-                        (ants[recruiter[x]], ants[x])
-                        for x in range(m)
-                        if recruiter[x] != -1
-                    )
-                ),
-                returned={ants[x]: returned[x] for x in range(m)},
-            )
-            key = outcome.key()
-            dist[key] = dist.get(key, Fraction(0)) + weight
-    assert sum(dist.values()) == 1
-    return dist

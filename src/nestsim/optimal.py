@@ -8,27 +8,16 @@ ants surface at the home nest once per block to be picked up by finished
 competing recruiters and waiting passive ants are never at the home nest
 in the same round until a single winner remains.
 
-The engine drives the vectorized `OptimalCohort`; `step` is the equivalent
-single-ant transition used directly in tests.
+`OptimalCohort` holds every ant's state as parallel arrays and is what the
+engine drives.  The tests replay it against a single-ant transition written
+out case by case in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .world import (
-    K_GO,
-    K_RECRUIT,
-    K_SEARCH,
-    Go,
-    GoResult,
-    Recruit,
-    RecruitResult,
-    Search,
-    SearchResult,
-)
+from .world import K_GO, K_RECRUIT, K_SEARCH
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -39,113 +28,8 @@ def subround(r: int) -> int:
     return (r - 2) % 4 + 1
 
 
-@dataclass
-class OptimalAntState:
-    """One ant's algorithm state plus the scratch carried between subrounds."""
-
-    mode: int = SEARCH    # the algorithm's state variable
-    nest: int = 0
-    count: int = 0
-    quality: int = 0
-    block: int | None = None   # case block currently executing (latched)
-    sub: int = 1               # next subround within the block
-    branch: int = 0            # active-block case 1/2/3, 0 before it is known
-    nest_t: int = 0
-    count_t: int = 0
-    awaiting: tuple | None = None  # (block, sub) of the request in flight
-
-
-def committed_nest(state: OptimalAntState) -> int:
-    return state.nest
-
-
-def _absorb(s: OptimalAntState, prev) -> None:
-    blk, sub = s.awaiting
-    if blk == SEARCH:
-        assert isinstance(prev, SearchResult)
-        s.nest, s.quality, s.count = prev.nest, prev.quality, prev.count
-        s.mode = ACTIVE if s.quality == 1 else PASSIVE
-    elif blk == FINAL:
-        assert isinstance(prev, RecruitResult)
-        s.nest = prev.nest
-    elif blk == PASSIVE:
-        if sub == 2:
-            assert isinstance(prev, RecruitResult)
-            if prev.nest != s.nest:
-                s.nest = prev.nest
-                s.mode = FINAL
-    else:  # ACTIVE block
-        if sub == 1:
-            assert isinstance(prev, RecruitResult)
-            s.nest_t = prev.nest
-        elif sub == 2:
-            assert isinstance(prev, GoResult)
-            s.count_t = prev.count
-            if s.nest_t == s.nest and s.count_t >= s.count:
-                s.branch = 1
-                s.count = s.count_t
-            elif s.nest_t == s.nest:
-                s.branch = 2
-                s.mode = PASSIVE
-            else:
-                s.branch = 3
-                s.nest = s.nest_t
-        elif sub == 3:
-            if s.branch == 3:
-                # adopt the new nest's settled population so the whole
-                # cohort carries the same reference count next block
-                s.count = prev.count
-                if prev.count < s.count_t:
-                    s.mode = PASSIVE
-        else:  # sub 4
-            if s.branch == 1 and prev.home_count == s.count:
-                s.mode = FINAL
-    # advance within the block, or mark it finished
-    if blk in (SEARCH, FINAL) or sub == 4:
-        s.block = None
-        s.sub = 1
-        s.branch = 0
-    else:
-        s.sub = sub + 1
-    s.awaiting = None
-
-
-def _emit(s: OptimalAntState):
-    if s.block is None:
-        s.block = s.mode
-    cur = s.sub
-    if s.block == SEARCH:
-        req = Search()
-    elif s.block == FINAL:
-        req = Recruit(1, s.nest)
-    elif s.block == PASSIVE:
-        req = Recruit(0, s.nest) if cur == 2 else Go(s.nest)
-    else:  # ACTIVE
-        if cur == 1:
-            req = Recruit(1, s.nest)
-        elif cur == 2:
-            req = Go(s.nest_t)
-        elif cur == 3:
-            req = Recruit(0, s.nest) if s.branch == 2 else Go(s.nest)
-        else:
-            req = Recruit(0, s.nest) if s.branch == 1 else Go(s.nest)
-    s.awaiting = (s.block, cur)
-    return req
-
-
-def step(state: OptimalAntState, prev=None):
-    """Consume the previous round's result and emit this round's request."""
-    s = replace(state)
-    if s.awaiting is not None:
-        _absorb(s, prev)
-    else:
-        assert prev is None
-    req = _emit(s)
-    return s, req
-
-
 class OptimalCohort:
-    """All n ants' states as parallel arrays; semantics mirror `step`."""
+    """All n ants' states as parallel arrays."""
 
     algorithm = "optimal"
 

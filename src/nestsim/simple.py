@@ -7,81 +7,20 @@ count/n, where count is the population it assessed at its nest in the
 previous round; larger nests therefore snowball.  Ants that searched an
 unsuitable nest wait passively and rejoin once led to a suitable one.
 
-The engine drives the vectorized `SimpleCohort`; `step` is the equivalent
-single-ant transition used directly in tests.
+`SimpleCohort` holds every ant's state as parallel arrays and is what the
+engine drives.  The tests replay it against a single-ant transition in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .world import (
-    K_GO,
-    K_RECRUIT,
-    K_SEARCH,
-    Go,
-    GoResult,
-    Recruit,
-    RecruitResult,
-    Search,
-    SearchResult,
-)
-
-
-def recruit_decision(count: int, n: int, rng) -> int:
-    """1 with probability exactly count/n, else 0."""
-    if not 0 <= count <= n:
-        raise ValueError(f"count {count} outside 0..{n}")
-    return int(rng.random() < count / n)
-
-
-@dataclass
-class SimpleAntState:
-    active: bool = True
-    nest: int = 0
-    count: int = 0
-    phase: str = "search"       # search -> recruit -> assess -> recruit -> ...
-    awaiting: str | None = None
-
-
-def step(state: SimpleAntState, prev, n: int, rng):
-    """Consume the previous round's result and emit this round's request."""
-    s = replace(state)
-    if s.awaiting == "search":
-        assert isinstance(prev, SearchResult)
-        s.nest, s.count = prev.nest, prev.count
-        if prev.quality == 0:
-            s.active = False
-        s.phase = "recruit"
-    elif s.awaiting == "recruit":
-        assert isinstance(prev, RecruitResult)
-        if prev.nest != s.nest:
-            s.nest = prev.nest
-            s.active = True
-        s.phase = "assess"
-    elif s.awaiting == "assess":
-        assert isinstance(prev, GoResult)
-        if s.active:
-            s.count = prev.count
-        s.phase = "recruit"
-    else:
-        assert prev is None
-
-    if s.phase == "search":
-        req = Search()
-    elif s.phase == "recruit":
-        b = recruit_decision(s.count, n, rng) if s.active else 0
-        req = Recruit(b, s.nest)
-    else:
-        req = Go(s.nest)
-    s.awaiting = s.phase
-    return s, req
+from .world import K_GO, K_RECRUIT, K_SEARCH
 
 
 class SimpleCohort:
-    """All n ants' states as parallel arrays; semantics mirror `step`.
+    """All n ants' states as parallel arrays.
 
     Recruit-or-not draws are made as one batch per recruitment round, in
     ant-index order over the currently active ants.

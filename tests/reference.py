@@ -1,0 +1,401 @@
+"""Test oracles: the model written out one ant and one request at a time.
+
+The engine runs the strategies as array cohorts and resolves a round from
+parallel request arrays.  The tests hold those against the plainer forms
+here: request and result objects, a round resolved from a dict of them,
+each strategy's single-ant transition, the matcher on explicit calls, and
+the matcher's exact outcome distribution on tiny pools.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+import numpy as np
+
+from nestsim.engine import _resolve_arrays
+from nestsim.matching import match_arrays, match_core
+from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
+from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
+
+MAX_EXACT_POOL = 6
+
+
+class PreconditionViolation(RuntimeError):
+    """An ant issued a request its history does not permit: an algorithm bug."""
+
+
+# --- requests ---
+
+@dataclass(frozen=True)
+class Search:
+    pass
+
+
+@dataclass(frozen=True)
+class Go:
+    target: int
+
+
+@dataclass(frozen=True)
+class Recruit:
+    active: int  # 1 = lead someone to target, 0 = wait to be led
+    target: int
+
+
+# --- results ---
+
+@dataclass(frozen=True)
+class SearchResult:
+    nest: int
+    quality: int
+    count: int
+
+
+@dataclass(frozen=True)
+class GoResult:
+    count: int
+
+
+@dataclass(frozen=True)
+class RecruitResult:
+    nest: int        # where the ant ends up committed-to (own target unless led away)
+    home_count: int
+
+
+def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
+    """Resolve one round of explicit per-ant requests through the engine.
+
+    `requests` must hold exactly one Search/Go/Recruit per ant id 0..n-1;
+    `qualities` is the candidate nests' quality vector.  Returns a dict
+    ant id -> result.  Raises PreconditionViolation for an invalid request.
+    """
+    n = world.n
+    if set(requests) != set(range(n)):
+        raise PreconditionViolation("need exactly one request per ant")
+    kind = np.empty(n, dtype=np.int8)
+    b = np.zeros(n, dtype=np.int8)
+    target = np.zeros(n, dtype=np.int64)
+    for ant, req in requests.items():
+        if isinstance(req, Search):
+            kind[ant] = K_SEARCH
+        elif isinstance(req, Go):
+            kind[ant] = K_GO
+            target[ant] = req.target
+        elif isinstance(req, Recruit):
+            kind[ant] = K_RECRUIT
+            b[ant] = req.active
+            target[ant] = req.target
+        else:
+            raise PreconditionViolation(f"ant {ant}: unknown request {req!r}")
+    violation = validate(world, kind, target)
+    if violation is not None:
+        raise PreconditionViolation(violation)
+    res_nest, res_count, _counts = _resolve_arrays(world, kind, b, target, rng)
+    out = {}
+    for ant, req in requests.items():
+        if isinstance(req, Search):
+            out[ant] = SearchResult(
+                nest=int(res_nest[ant]),
+                quality=qualities[int(res_nest[ant]) - 1],
+                count=int(res_count[ant]),
+            )
+        elif isinstance(req, Go):
+            out[ant] = GoResult(count=int(res_count[ant]))
+        else:
+            out[ant] = RecruitResult(
+                nest=int(res_nest[ant]), home_count=int(res_count[ant])
+            )
+    return out
+
+
+def record_rounds(monkeypatch, cohort_cls) -> list:
+    """Record every round a `cohort_cls` cohort plays while the patch holds.
+
+    Each round gives one dict: the requests `emit` returned (kind, b,
+    target), the results `absorb` received (res_nest, res_count), and
+    `state`, a copy of the cohort's arrays as `absorb` found them.
+    """
+    rounds = []
+    emit, absorb = cohort_cls.emit, cohort_cls.absorb
+
+    def recording_emit(self, r, rng):
+        kind, b, target = emit(self, r, rng)
+        rounds.append(
+            {"round": r, "kind": kind.copy(), "b": b.copy(), "target": target.copy()}
+        )
+        return kind, b, target
+
+    def recording_absorb(self, r, res_nest, res_count):
+        rounds[-1].update(
+            res_nest=res_nest.copy(),
+            res_count=res_count.copy(),
+            state={
+                name: value.copy()
+                for name, value in vars(self).items()
+                if isinstance(value, np.ndarray)
+            },
+        )
+        absorb(self, r, res_nest, res_count)
+
+    monkeypatch.setattr(cohort_cls, "emit", recording_emit)
+    monkeypatch.setattr(cohort_cls, "absorb", recording_absorb)
+    return rounds
+
+
+# --- optimal: one ant's drop-out strategy ---
+
+@dataclass
+class OptimalAntState:
+    """One ant's algorithm state plus the scratch carried between subrounds."""
+
+    mode: int = SEARCH    # the algorithm's state variable
+    nest: int = 0
+    count: int = 0
+    quality: int = 0
+    block: int | None = None   # case block currently executing (latched)
+    sub: int = 1               # next subround within the block
+    branch: int = 0            # active-block case 1/2/3, 0 before it is known
+    nest_t: int = 0
+    count_t: int = 0
+    awaiting: tuple | None = None  # (block, sub) of the request in flight
+
+
+def _optimal_absorb(s: OptimalAntState, prev) -> None:
+    blk, sub = s.awaiting
+    if blk == SEARCH:
+        assert isinstance(prev, SearchResult)
+        s.nest, s.quality, s.count = prev.nest, prev.quality, prev.count
+        s.mode = ACTIVE if s.quality == 1 else PASSIVE
+    elif blk == FINAL:
+        assert isinstance(prev, RecruitResult)
+        s.nest = prev.nest
+    elif blk == PASSIVE:
+        if sub == 2:
+            assert isinstance(prev, RecruitResult)
+            if prev.nest != s.nest:
+                s.nest = prev.nest
+                s.mode = FINAL
+    else:  # ACTIVE block
+        if sub == 1:
+            assert isinstance(prev, RecruitResult)
+            s.nest_t = prev.nest
+        elif sub == 2:
+            assert isinstance(prev, GoResult)
+            s.count_t = prev.count
+            if s.nest_t == s.nest and s.count_t >= s.count:
+                s.branch = 1
+                s.count = s.count_t
+            elif s.nest_t == s.nest:
+                s.branch = 2
+                s.mode = PASSIVE
+            else:
+                s.branch = 3
+                s.nest = s.nest_t
+        elif sub == 3:
+            if s.branch == 3:
+                # adopt the new nest's settled population so the whole
+                # cohort carries the same reference count next block
+                s.count = prev.count
+                if prev.count < s.count_t:
+                    s.mode = PASSIVE
+        else:  # sub 4
+            if s.branch == 1 and prev.home_count == s.count:
+                s.mode = FINAL
+    # advance within the block, or mark it finished
+    if blk in (SEARCH, FINAL) or sub == 4:
+        s.block = None
+        s.sub = 1
+        s.branch = 0
+    else:
+        s.sub = sub + 1
+    s.awaiting = None
+
+
+def _optimal_emit(s: OptimalAntState):
+    if s.block is None:
+        s.block = s.mode
+    cur = s.sub
+    if s.block == SEARCH:
+        req = Search()
+    elif s.block == FINAL:
+        req = Recruit(1, s.nest)
+    elif s.block == PASSIVE:
+        req = Recruit(0, s.nest) if cur == 2 else Go(s.nest)
+    else:  # ACTIVE
+        if cur == 1:
+            req = Recruit(1, s.nest)
+        elif cur == 2:
+            req = Go(s.nest_t)
+        elif cur == 3:
+            req = Recruit(0, s.nest) if s.branch == 2 else Go(s.nest)
+        else:
+            req = Recruit(0, s.nest) if s.branch == 1 else Go(s.nest)
+    s.awaiting = (s.block, cur)
+    return req
+
+
+def optimal_step(state: OptimalAntState, prev=None):
+    """Consume the previous round's result and emit this round's request."""
+    s = replace(state)
+    if s.awaiting is not None:
+        _optimal_absorb(s, prev)
+    else:
+        assert prev is None
+    req = _optimal_emit(s)
+    return s, req
+
+
+# --- simple: one ant's proportional recruitment ---
+
+def recruit_decision(count: int, n: int, rng) -> int:
+    """1 with probability exactly count/n, else 0."""
+    if not 0 <= count <= n:
+        raise ValueError(f"count {count} outside 0..{n}")
+    return int(rng.random() < count / n)
+
+
+@dataclass
+class SimpleAntState:
+    active: bool = True
+    nest: int = 0
+    count: int = 0
+    phase: str = "search"       # search -> recruit -> assess -> recruit -> ...
+    awaiting: str | None = None
+
+
+def simple_step(state: SimpleAntState, prev, n: int, rng):
+    """Consume the previous round's result and emit this round's request."""
+    s = replace(state)
+    if s.awaiting == "search":
+        assert isinstance(prev, SearchResult)
+        s.nest, s.count = prev.nest, prev.count
+        if prev.quality == 0:
+            s.active = False
+        s.phase = "recruit"
+    elif s.awaiting == "recruit":
+        assert isinstance(prev, RecruitResult)
+        if prev.nest != s.nest:
+            s.nest = prev.nest
+            s.active = True
+        s.phase = "assess"
+    elif s.awaiting == "assess":
+        assert isinstance(prev, GoResult)
+        if s.active:
+            s.count = prev.count
+        s.phase = "recruit"
+    else:
+        assert prev is None
+
+    if s.phase == "search":
+        req = Search()
+    elif s.phase == "recruit":
+        b = recruit_decision(s.count, n, rng) if s.active else 0
+        req = Recruit(b, s.nest)
+    else:
+        req = Go(s.nest)
+    s.awaiting = s.phase
+    return s, req
+
+
+# --- matcher on explicit calls, and its exact distribution ---
+
+class MatchError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class RecruitCall:
+    ant: int
+    active: int      # 1 = recruiting, 0 = waiting
+    target: int      # candidate nest the ant advocates
+
+    def __post_init__(self):
+        if self.target == 0:
+            raise MatchError("recruit target must be a candidate nest")
+
+
+@dataclass(frozen=True)
+class MatchOutcome:
+    """Pairing set plus the nest id handed back to each caller."""
+
+    pairs: tuple       # sorted tuple of (recruiter, recruited) ant-id pairs
+    returned: dict     # ant id -> nest id
+
+    def key(self):
+        return (self.pairs, tuple(sorted(self.returned.items())))
+
+
+def match_round(calls, rng) -> MatchOutcome:
+    """Run one recruitment round for a set of RecruitCalls."""
+    calls = sorted(calls, key=lambda c: c.ant)
+    if not calls:
+        raise MatchError("empty call set")
+    ants = [c.ant for c in calls]
+    if len(set(ants)) != len(ants):
+        raise MatchError("duplicate ant in call set")
+    active = [c.active for c in calls]
+    targets = [c.target for c in calls]
+    pairs, returned = match_arrays(active, targets, rng)
+    returned = returned.tolist()
+    return MatchOutcome(
+        pairs=tuple(sorted((ants[a], ants[b]) for a, b in pairs.tolist())),
+        returned={ants[x]: returned[x] for x in range(len(calls))},
+    )
+
+
+def success_indicator(outcome: MatchOutcome, ant: int) -> int:
+    """+1 led another ant, -1 was led away, 0 otherwise (self-pairs inert)."""
+    for a, b in outcome.pairs:
+        if a == b:
+            continue
+        if a == ant:
+            return 1
+        if b == ant:
+            return -1
+    return 0
+
+
+def exact_distribution(calls) -> dict:
+    """Exact outcome distribution by brute force over tiny pools.
+
+    Enumerates every permutation of the pool and every pick vector of the
+    active callers, each atom weighted 1/(|R|! * |R|^|S|).  Returns a map
+    from MatchOutcome.key() to an exact Fraction; values sum to 1.
+    """
+    calls = sorted(calls, key=lambda c: c.ant)
+    ants = [c.ant for c in calls]
+    if len(set(ants)) != len(ants):
+        raise MatchError("duplicate ant in call set")
+    m = len(calls)
+    if not 1 <= m <= MAX_EXACT_POOL:
+        raise MatchError(f"exact enumeration supports 1..{MAX_EXACT_POOL} calls")
+    active = [c.active for c in calls]
+    targets = [c.target for c in calls]
+    active_idx = [i for i in range(m) if active[i]]
+    weight = Fraction(1, math.factorial(m) * m ** len(active_idx))
+
+    dist = {}
+    for perm in itertools.permutations(range(m)):
+        for pick_vec in itertools.product(range(m), repeat=len(active_idx)):
+            picks = [-1] * m
+            for i, v in zip(active_idx, pick_vec):
+                picks[i] = v
+            recruiter, returned = match_core(active, targets, perm, picks)
+            outcome = MatchOutcome(
+                pairs=tuple(
+                    sorted(
+                        (ants[recruiter[x]], ants[x])
+                        for x in range(m)
+                        if recruiter[x] != -1
+                    )
+                ),
+                returned={ants[x]: returned[x] for x in range(m)},
+            )
+            key = outcome.key()
+            dist[key] = dist.get(key, Fraction(0)) + weight
+    assert sum(dist.values()) == 1
+    return dist

@@ -21,7 +21,8 @@ from nestsim.lemmas import (
     nest_delta_distribution,
     recruit_success_rate,
 )
-from nestsim.matching import RecruitCall, exact_distribution, match_arrays
+from nestsim.matching import match_arrays
+from reference import RecruitCall, exact_distribution
 
 
 def _report(num, name, ok, detail=""):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from nestsim.config import ColonyConfig
-from nestsim.engine import resolve_round, run, stream_from_key
-from nestsim.world import (
+from nestsim.engine import run, stream_from_key
+from nestsim.optimal import OptimalCohort
+from nestsim.world import K_GO, WorldState
+from reference import (
     Go,
     GoResult,
     PreconditionViolation,
@@ -11,7 +13,7 @@ from nestsim.world import (
     RecruitResult,
     Search,
     SearchResult,
-    WorldState,
+    resolve_round,
 )
 
 
@@ -60,6 +62,25 @@ def test_round_cap_is_reported():
     assert report.winning_nest is None
 
 
+def test_precondition_violation_stops_the_run(monkeypatch):
+    emit = OptimalCohort.emit
+
+    def go_somewhere_new(self, r, rng):
+        kind, b, target = emit(self, r, rng)
+        if r == 2:
+            # after round 1 ant 0 has been at exactly one candidate nest
+            kind[0] = K_GO
+            target[0] = self.nest[0] % self.config.k + 1
+        return kind, b, target
+
+    monkeypatch.setattr(OptimalCohort, "emit", go_somewhere_new)
+    trace, report = run(_config("optimal"), rng=stream_from_key(0))
+    assert not report.converged
+    assert report.reason == "precondition_violation"
+    assert report.winning_nest is None
+    assert [rec["round"] for rec in trace.records] == [1]
+
+
 def test_stream_from_key_contract():
     a = stream_from_key(42, 0).random()
     b = stream_from_key(42, 0).random()
@@ -76,28 +97,30 @@ def test_stream_from_key_is_order_sensitive():
 
 
 def test_resolve_round_all_search_single_nest():
-    world = WorldState(4, 1, qualities=(1,))
-    out = resolve_round({a: Search() for a in range(4)}, world, stream_from_key(0))
+    world = WorldState(4, 1)
+    out = resolve_round(
+        {a: Search() for a in range(4)}, world, (1,), stream_from_key(0)
+    )
     for a in range(4):
         assert out[a] == SearchResult(nest=1, quality=1, count=4)
 
 
 def test_resolve_round_lone_recruiter():
-    world = WorldState(3, 2, qualities=(1, 0))
+    world = WorldState(3, 2)
     world.location[:] = [0, 1, 2]
     world.visited[:] = True
     out = resolve_round(
-        {0: Recruit(1, 2), 1: Go(1), 2: Go(2)}, world, stream_from_key(0)
+        {0: Recruit(1, 2), 1: Go(1), 2: Go(2)}, world, (1, 0), stream_from_key(0)
     )
     assert out[0] == RecruitResult(nest=2, home_count=1)
     assert out[1] == GoResult(count=1)
 
 
 def test_resolve_round_all_recruiting():
-    world = WorldState(6, 2, qualities=(1, 1))
+    world = WorldState(6, 2)
     world.visited[:] = True
     reqs = {a: Recruit(a % 2, 1 + a % 2) for a in range(6)}
-    out = resolve_round(reqs, world, stream_from_key(5))
+    out = resolve_round(reqs, world, (1, 1), stream_from_key(5))
     assert all(isinstance(out[a], RecruitResult) for a in range(6))
     # every recruiter finishes the round at the home nest
     assert np.all(world.location == 0)
@@ -108,30 +131,31 @@ def test_resolve_round_all_recruiting():
 
 
 def test_resolve_round_rejects_missing_or_duplicate():
-    world = WorldState(3, 1, qualities=(1,))
+    world = WorldState(3, 1)
     with pytest.raises(PreconditionViolation):
-        resolve_round({0: Search(), 1: Search()}, world, stream_from_key(0))
+        resolve_round({0: Search(), 1: Search()}, world, (1,), stream_from_key(0))
     with pytest.raises(PreconditionViolation):
         resolve_round(
             {0: Search(), 1: Search(), 2: Search(), 3: Search()},
             world,
+            (1,),
             stream_from_key(0),
         )
 
 
 def test_resolve_round_rejects_unvisited_target():
-    world = WorldState(2, 2, qualities=(1, 1))
+    world = WorldState(2, 2)
     with pytest.raises(PreconditionViolation):
-        resolve_round({0: Go(1), 1: Search()}, world, stream_from_key(0))
+        resolve_round({0: Go(1), 1: Search()}, world, (1, 1), stream_from_key(0))
 
 
 def test_being_led_marks_nest_visited():
-    world = WorldState(2, 2, qualities=(1, 1))
+    world = WorldState(2, 2)
     world.visited[0, 1] = True
     world.visited[1, 2] = True
     rng = stream_from_key(0)
     for _ in range(30):
-        out = resolve_round({0: Recruit(1, 1), 1: Recruit(0, 2)}, world, rng)
+        out = resolve_round({0: Recruit(1, 1), 1: Recruit(0, 2)}, world, (1, 1), rng)
         if out[1].nest == 1:
             assert world.visited[1, 1]
             return
@@ -139,8 +163,10 @@ def test_being_led_marks_nest_visited():
 
 
 def test_search_results_track_locations():
-    world = WorldState(50, 3, qualities=(1, 1, 1))
-    out = resolve_round({a: Search() for a in range(50)}, world, stream_from_key(2))
+    world = WorldState(50, 3)
+    out = resolve_round(
+        {a: Search() for a in range(50)}, world, (1, 1, 1), stream_from_key(2)
+    )
     tallies = np.bincount([out[a].nest for a in range(50)], minlength=4)
     for a in range(50):
         assert out[a].count == tallies[out[a].nest]

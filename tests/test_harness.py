@@ -147,6 +147,22 @@ def test_cli_rejects_bad_seed(argv, seed, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "16", "--k", "2", "--qualities", "random:0"],
+        ["run", "--n", "16", "--k", "2", "--qualities", "random:abc"],
+        ["lemma", "eps-init", "--n", "1"],
+        ["lemma", "eps-init", "--n", "1", "--mode", "monte-carlo"],
+        ["lemma", "ratio-growth", "--sizes", "5"],
+    ],
+    ids=["random-p-zero", "random-p-abc", "eps-init-exact", "eps-init-mc", "ratio-one-size"],
+)
+def test_cli_rejects_bad_input(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_run_bad_quality_vector():
     assert cli.main(["run", "--n", "16", "--k", "2", "--qualities", "0,0"]) == 2
 
@@ -204,6 +220,30 @@ def test_cli_config_file_defaults(tmp_path):
     assert code == 0
     rows = csv_to_rows(out.read_text())
     assert rows[0].n == 32 and rows[0].k == 2 and rows[0].trials == 3
+
+
+def test_cli_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 32\nk = 2\nseed = 4\nqualities = all-good\ntrials = 3\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--config", str(cfg), "--n", "48", "--out", str(out)])
+    assert code == 0
+    (row,) = csv_to_rows(out.read_text())
+    assert row.n == 48 and row.k == 2 and row.trials == 3
+
+
+# a switch takes no value, a run takes one n, and every key must be a flag
+@pytest.mark.parametrize("line", ["verbose_trace = 0", "n = 32,64", "bogus = 3"])
+def test_cli_rejects_bad_config_file(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["run", "--k", "2", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_config_needs_a_path(capsys):
+    assert cli.main(["run", "--config"]) == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
 
 
 def test_cli_sweep_determinism(tmp_path):

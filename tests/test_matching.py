@@ -6,15 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestsim.engine import stream_from_key
-from nestsim.matching import (
-    PARALLEL_MIN_POOL,
+from nestsim.matching import PARALLEL_MIN_POOL, match_arrays, match_core, match_parallel
+from reference import (
     MatchError,
     MatchOutcome,
     RecruitCall,
     exact_distribution,
-    match_arrays,
-    match_core,
-    match_parallel,
     match_round,
     success_indicator,
 )

@@ -3,25 +3,18 @@ import pytest
 
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
-from nestsim.optimal import (
-    ACTIVE,
-    FINAL,
-    PASSIVE,
-    OptimalAntState,
-    committed_nest,
-    step,
-    subround,
-)
-from nestsim.world import (
-    K_GO,
-    K_RECRUIT,
-    K_SEARCH,
+from nestsim.optimal import ACTIVE, FINAL, PASSIVE, OptimalCohort, subround
+from nestsim.world import K_GO, K_RECRUIT, K_SEARCH
+from reference import (
     Go,
     GoResult,
+    OptimalAntState,
     Recruit,
     RecruitResult,
     Search,
     SearchResult,
+    optimal_step,
+    record_rounds,
 )
 
 
@@ -29,11 +22,11 @@ def drive(results):
     """Feed a fresh ant the given result sequence; return states and requests."""
     s = OptimalAntState()
     states, reqs = [], []
-    s, req = step(s)
+    s, req = optimal_step(s)
     states.append(s)
     reqs.append(req)
     for res in results:
-        s, req = step(s, res)
+        s, req = optimal_step(s, res)
         states.append(s)
         reqs.append(req)
     return states, reqs
@@ -183,30 +176,32 @@ def test_passive_block_and_promotion():
 
 def test_committed_nest():
     s = OptimalAntState()
-    assert committed_nest(s) == 0
+    assert s.nest == 0
     states, _ = drive([SearchResult(nest=2, quality=1, count=3)])
-    assert committed_nest(states[-1]) == 2
+    assert states[-1].nest == 2
 
 
-def _recorded_run(n, k, qualities, seed):
+def _recorded_run(monkeypatch, n, k, qualities, seed):
     config = ColonyConfig(
         n=n, k=k, qualities=qualities, seed=seed, algorithm="optimal"
     )
-    trace, report = run(config, rng=stream_from_key(seed), record=True)
+    rounds = record_rounds(monkeypatch, OptimalCohort)
+    trace, report = run(config, rng=stream_from_key(seed))
     assert report.converged, report
-    return config, trace, report
+    assert len(rounds) == len(trace.records)
+    return config, trace, rounds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cohort_matches_per_ant_step(seed):
+def test_cohort_matches_per_ant_step(seed, monkeypatch):
     """The engine's array path must replay exactly under the scalar step."""
-    config, trace, _ = _recorded_run(32, 3, (1, 1, 0), seed)
+    config, _, rounds = _recorded_run(monkeypatch, 32, 3, (1, 1, 0), seed)
     n = config.n
     states = [OptimalAntState() for _ in range(n)]
     prev = [None] * n
-    for rec in trace.per_ant:
+    for rec in rounds:
         for ant in range(n):
-            states[ant], req = step(states[ant], prev[ant])
+            states[ant], req = optimal_step(states[ant], prev[ant])
             if isinstance(req, Search):
                 got = (K_SEARCH, 0, 0)
             elif isinstance(req, Go):
@@ -235,11 +230,11 @@ def test_cohort_matches_per_ant_step(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_schedule_separation(seed):
+def test_schedule_separation(seed, monkeypatch):
     """Competing recruiters and waiting passive ants never share a round."""
-    _, trace, _ = _recorded_run(64, 4, (1, 1, 1, 1), seed)
-    for rec in trace.per_ant:
-        block = rec["block"]
+    _, _, rounds = _recorded_run(monkeypatch, 64, 4, (1, 1, 1, 1), seed)
+    for rec in rounds:
+        block = rec["state"]["block"]
         kind = rec["kind"]
         b = rec["b"]
         active_leads = np.any((block == ACTIVE) & (kind == K_RECRUIT) & (b == 1))
@@ -248,11 +243,11 @@ def test_schedule_separation(seed):
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_final_is_absorbing(seed):
-    _, trace, _ = _recorded_run(48, 3, (1, 0, 1), seed)
+def test_final_is_absorbing(seed, monkeypatch):
+    _, _, rounds = _recorded_run(monkeypatch, 48, 3, (1, 0, 1), seed)
     finalized = {}
-    for rec in trace.per_ant:
-        mode = rec["mode_before"]
+    for rec in rounds:
+        mode = rec["state"]["mode"]
         for ant in np.nonzero(mode == FINAL)[0]:
             nest = int(rec["target"][ant])
             if ant in finalized:

@@ -1,73 +1,79 @@
 import numpy as np
 import pytest
 
-from nestsim.world import (
-    HOME,
+from nestsim.engine import stream_from_key
+from nestsim.world import HOME, K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
+from reference import (
     Go,
+    GoResult,
     PreconditionViolation,
     Recruit,
+    RecruitResult,
     Search,
-    WorldState,
-    counts,
-    validate_request,
+    resolve_round,
 )
+
+
+def _violation(w, ant, kind, target):
+    """`validate` on a round in which `ant` sends (kind, target) and the rest search."""
+    kinds = np.full(w.n, K_SEARCH, dtype=np.int8)
+    targets = np.zeros(w.n, dtype=np.int64)
+    kinds[ant], targets[ant] = kind, target
+    return validate(w, kinds, targets)
 
 
 def test_initial_world():
     w = WorldState(5, 3)
     assert np.all(w.location == HOME)
-    assert counts(w) == [5, 0, 0, 0]
+    assert np.bincount(w.location, minlength=w.k + 1).tolist() == [5, 0, 0, 0]
     for ant in range(5):
-        assert w.visited_set(ant) == {HOME}
+        assert np.flatnonzero(w.visited[ant]).tolist() == [HOME]
 
 
 def test_counts_sum_to_n():
     w = WorldState(6, 2)
-    w.location[:] = [0, 1, 1, 2, 0, 1]
-    c = counts(w)
+    w.visited[:] = True
+    reqs = {0: Recruit(0, 1), 1: Go(1), 2: Go(1), 3: Go(2), 4: Recruit(0, 2), 5: Go(1)}
+    out = resolve_round(reqs, w, (1, 1), stream_from_key(0))
+    c = np.bincount(w.location, minlength=w.k + 1).tolist()
     assert c == [2, 3, 1]
     assert sum(c) == 6
+    assert out[1] == GoResult(count=3) and out[3] == GoResult(count=1)
+    assert out[0] == RecruitResult(nest=1, home_count=2)
 
 
 def test_search_always_allowed():
     w = WorldState(3, 2)
-    validate_request(w, 0, Search())
+    assert _violation(w, 0, K_SEARCH, 0) is None
 
 
 def test_go_requires_candidate_nest():
     w = WorldState(3, 2)
-    with pytest.raises(PreconditionViolation):
-        validate_request(w, 0, Go(0))
-    with pytest.raises(PreconditionViolation):
-        validate_request(w, 0, Go(3))
-    with pytest.raises(PreconditionViolation):
-        validate_request(w, 0, Go(-1))
+    assert _violation(w, 0, K_GO, 0) == "ant 0: target 0 is not a candidate nest"
+    assert _violation(w, 0, K_GO, 3) is not None
+    assert _violation(w, 0, K_GO, -1) is not None
 
 
 def test_go_requires_prior_visit():
     w = WorldState(3, 2)
-    with pytest.raises(PreconditionViolation):
-        validate_request(w, 1, Go(2))
+    assert _violation(w, 1, K_GO, 2) == "ant 1: has never been at nest 2"
     w.visited[1, 2] = True
-    validate_request(w, 1, Go(2))
+    assert _violation(w, 1, K_GO, 2) is None
 
 
 def test_recruit_requires_prior_visit():
     w = WorldState(3, 2)
-    with pytest.raises(PreconditionViolation):
-        validate_request(w, 0, Recruit(1, 1))
+    assert _violation(w, 0, K_RECRUIT, 1) is not None
     w.visited[0, 1] = True
-    validate_request(w, 0, Recruit(1, 1))
-    validate_request(w, 0, Recruit(0, 1))
+    assert _violation(w, 0, K_RECRUIT, 1) is None
 
 
 def test_recruit_home_rejected():
     w = WorldState(2, 2)
-    with pytest.raises(PreconditionViolation):
-        validate_request(w, 0, Recruit(1, 0))
+    assert _violation(w, 0, K_RECRUIT, 0) is not None
 
 
 def test_unknown_request_rejected():
     w = WorldState(2, 2)
     with pytest.raises(PreconditionViolation):
-        validate_request(w, 0, "go home")
+        resolve_round({0: "go home", 1: Search()}, w, (1, 1), stream_from_key(0))

@@ -3,17 +3,19 @@ import pytest
 
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
-from nestsim.simple import SimpleAntState, recruit_decision, step
-from nestsim.world import (
-    K_GO,
-    K_RECRUIT,
-    K_SEARCH,
+from nestsim.simple import SimpleCohort
+from nestsim.world import K_GO, K_RECRUIT, K_SEARCH
+from reference import (
     Go,
     GoResult,
     Recruit,
     RecruitResult,
     Search,
     SearchResult,
+    SimpleAntState,
+    recruit_decision,
+    record_rounds,
+    simple_step,
 )
 
 
@@ -52,11 +54,11 @@ def drive(results, n=16, draws=()):
     rng = FixedRng(draws)
     s = SimpleAntState()
     states, reqs = [], []
-    s, req = step(s, None, n, rng)
+    s, req = simple_step(s, None, n, rng)
     states.append(s)
     reqs.append(req)
     for res in results:
-        s, req = step(s, res, n, rng)
+        s, req = simple_step(s, res, n, rng)
         states.append(s)
         reqs.append(req)
     return states, reqs
@@ -131,31 +133,33 @@ def test_assess_updates_count():
     assert reqs[-1] == Recruit(0, 2)     # 0.999 >= 11/16
 
 
-def _recorded_run(n, k, qualities, seed):
+def _recorded_run(monkeypatch, n, k, qualities, seed):
     config = ColonyConfig(
         n=n, k=k, qualities=qualities, seed=seed, algorithm="simple"
     )
-    trace, report = run(config, rng=stream_from_key(seed), record=True)
+    rounds = record_rounds(monkeypatch, SimpleCohort)
+    trace, report = run(config, rng=stream_from_key(seed))
     assert report.converged, report
-    return config, trace, report
+    assert len(rounds) == len(trace.records)
+    return config, trace, rounds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cohort_matches_per_ant_step(seed):
+def test_cohort_matches_per_ant_step(seed, monkeypatch):
     """The engine's array path must replay exactly under the scalar step.
 
     The recruit-or-not draw is reproduced by feeding the recorded decision
     back through a stub stream.
     """
-    config, trace, _ = _recorded_run(32, 3, (1, 1, 0), seed)
+    config, _, rounds = _recorded_run(monkeypatch, 32, 3, (1, 1, 0), seed)
     n = config.n
     states = [SimpleAntState() for _ in range(n)]
     prev = [None] * n
-    for rec in trace.per_ant:
+    for rec in rounds:
         for ant in range(n):
             recorded_b = int(rec["b"][ant])
             rng = FixedRng([0.0 if recorded_b else 1.0 - 1e-12] * 2)
-            states[ant], req = step(states[ant], prev[ant], n, rng)
+            states[ant], req = simple_step(states[ant], prev[ant], n, rng)
             if isinstance(req, Search):
                 got = (K_SEARCH, 0, 0)
             elif isinstance(req, Go):
@@ -184,9 +188,9 @@ def test_cohort_matches_per_ant_step(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_round_parity(seed):
+def test_round_parity(seed, monkeypatch):
     """After round 1: even rounds all-home, odd rounds all at candidate nests."""
-    _, trace, report = _recorded_run(64, 4, (1, 1, 1, 1), seed)
+    _, trace, _ = _recorded_run(monkeypatch, 64, 4, (1, 1, 1, 1), seed)
     for rec in trace.records:
         r = rec["round"]
         if r == 1:
@@ -198,11 +202,11 @@ def test_round_parity(seed):
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_quality_gate_and_persistence(seed):
+def test_quality_gate_and_persistence(seed, monkeypatch):
     """Only ants on suitable nests lead; a suitable commitment always exists."""
-    config, trace, _ = _recorded_run(64, 4, (1, 0, 1, 0), seed)
+    config, _, rounds = _recorded_run(monkeypatch, 64, 4, (1, 0, 1, 0), seed)
     qual = np.asarray(config.qualities)
-    for rec in trace.per_ant:
+    for rec in rounds:
         if rec["round"] == 1:
             continue
         leads = rec["b"] == 1
