@@ -62,81 +62,97 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single seeded run, JSONL trace + report")
-    p_run.add_argument("--config", help="key=value file of flag values; flags given win")
-    p_run.add_argument("--algo", choices=("optimal", "simple"), default="simple")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0)
+    seeded.add_argument("--out", help="output file (a run's report goes next to it)")
+
+    def colony():
+        # built once per subcommand: children share a parent's actions, so
+        # one child's set_defaults would move the other's default as well
+        p = argparse.ArgumentParser(add_help=False, parents=[seeded])
+        p.add_argument("--config", help="key=value file of flag values; flags given win")
+        p.add_argument("--algo", choices=("optimal", "simple"), default="simple")
+        p.add_argument(
+            "--qualities",
+            default="one-good",
+            help="one-good | all-good | random:p | explicit e.g. 1,0,1",
+        )
+        p.add_argument("--max-rounds", type=int, default=0)
+        return p
+
+    p_run = sub.add_parser(
+        "run", parents=[colony()], help="single seeded run, JSONL trace + report"
+    )
     p_run.add_argument("--n", type=_positive_int, default=256)
     p_run.add_argument("--k", type=_positive_int, default=4)
-    p_run.add_argument(
-        "--qualities",
-        default="one-good",
-        help="one-good | all-good | random:p | explicit e.g. 1,0,1",
-    )
-    p_run.add_argument("--seed", type=_seed, default=0)
-    p_run.add_argument("--max-rounds", type=int, default=0)
-    p_run.add_argument("--out", help="trace file path (report goes next to it)")
     p_run.add_argument("--verbose-trace", action="store_true")
+    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="trial sweep over (n, k) cells, CSV out")
-    p_sweep.add_argument("--config", help="key=value file of flag values; flags given win")
-    p_sweep.add_argument("--algo", choices=("optimal", "simple"), default="simple")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[colony()], help="trial sweep over (n, k) cells, CSV out"
+    )
     p_sweep.add_argument("--n", type=_int_list, default=(64, 256), metavar="N1,N2,...")
     p_sweep.add_argument("--k", type=_int_list, default=(4,), metavar="K1,K2,...")
-    p_sweep.add_argument("--qualities", default="all-good")
     p_sweep.add_argument("--trials", type=_positive_int, default=100)
-    p_sweep.add_argument("--seed", type=_seed, default=0)
-    p_sweep.add_argument("--max-rounds", type=int, default=0)
-    p_sweep.add_argument("--out", help="CSV output path")
+    p_sweep.set_defaults(func=cmd_sweep, qualities="all-good")
 
     p_lemma = sub.add_parser("lemma", help="empirical lemma checks, JSON report")
+    p_lemma.set_defaults(func=cmd_lemma)
     lsub = p_lemma.add_subparsers(dest="lemma", required=True)
 
-    p = lsub.add_parser("recruit-success")
+    # each estimator is looked up when it runs, so it can be wrapped by name
+    p = lsub.add_parser("recruit-success", parents=[seeded])
     p.add_argument("--active", type=_positive_int, default=2)
     p.add_argument("--passive", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
+    p.set_defaults(estimate=lambda a: lemmas.recruit_success_rate(lemmas.ScenarioSpec(
+        ((1, a.active, 1),) + (((2, a.passive, 0),) if a.passive else ()),
+        a.trials, a.seed,
+    )))
 
-    p = lsub.add_parser("retention")
+    p = lsub.add_parser("retention", parents=[seeded])
     p.add_argument("--n", type=_positive_int, default=256)
     p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
+    p.set_defaults(estimate=lambda a: lemmas.ignorance_retention(a.n, a.trials, a.seed))
 
-    p = lsub.add_parser("nest-delta")
+    p = lsub.add_parser("nest-delta", parents=[seeded])
     p.add_argument("--sizes", type=_int_list, required=True, metavar="S1,S2,...")
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
+    p.set_defaults(estimate=lambda a: lemmas.nest_delta_distribution(lemmas.ScenarioSpec(
+        tuple((i + 1, s, 1) for i, s in enumerate(a.sizes)), a.trials, a.seed
+    )))
 
-    p = lsub.add_parser("eps-init")
+    p = lsub.add_parser("eps-init", parents=[seeded])
     p.add_argument("--n", type=_positive_int, default=8)
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
+    p.set_defaults(estimate=lambda a: lemmas.initial_gap_expectation(
+        a.n, a.k, a.mode, a.trials, a.seed
+    ))
 
-    p = lsub.add_parser("ratio-growth")
+    p = lsub.add_parser("ratio-growth", parents=[seeded])
     p.add_argument("--n", type=_positive_int, default=4096)
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--sizes", type=_int_list, required=True, metavar="S1,S2")
     p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
+    p.set_defaults(estimate=lambda a: lemmas.ratio_growth(
+        a.n, a.k, a.sizes, a.trials, a.seed
+    ))
 
-    p = lsub.add_parser("dropout")
+    p = lsub.add_parser("dropout", parents=[seeded])
     p.add_argument("--n", type=_positive_int, default=4096)
     p.add_argument("--k", type=_positive_int, default=4)
     p.add_argument("--small", type=int, default=16)
     p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out")
+    p.set_defaults(estimate=lambda a: lemmas.dropout_time(
+        a.n, a.k, a.small, a.trials, a.seed
+    ))
 
     p_fit = sub.add_parser("fit", help="scaling-law fit over a sweep CSV")
     p_fit.add_argument("--csv", required=True)
     p_fit.add_argument("--model", choices=("logn", "klogn"), required=True)
+    p_fit.set_defaults(func=cmd_fit)
 
     return parser
 
@@ -156,7 +172,6 @@ def cmd_run(args) -> int:
         n=args.n,
         k=args.k,
         qualities=qualities,
-        seed=args.seed,
         algorithm=args.algo,
         max_rounds=args.max_rounds,
     )
@@ -196,32 +211,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    if args.lemma == "recruit-success":
-        groups = [(1, args.active, 1)]
-        if args.passive:
-            groups.append((2, args.passive, 0))
-        report = lemmas.recruit_success_rate(
-            lemmas.ScenarioSpec(tuple(groups), args.trials, args.seed)
-        )
-    elif args.lemma == "retention":
-        report = lemmas.ignorance_retention(args.n, args.trials, args.seed)
-    elif args.lemma == "nest-delta":
-        groups = tuple((i + 1, s, 1) for i, s in enumerate(args.sizes))
-        report = lemmas.nest_delta_distribution(
-            lemmas.ScenarioSpec(groups, args.trials, args.seed)
-        )
-    elif args.lemma == "eps-init":
-        report = lemmas.initial_gap_expectation(
-            args.n, args.k, args.mode, args.trials, args.seed
-        )
-    elif args.lemma == "ratio-growth":
-        report = lemmas.ratio_growth(
-            args.n, args.k, args.sizes, args.trials, args.seed
-        )
-    else:
-        report = lemmas.dropout_time(
-            args.n, args.k, args.small, args.trials, args.seed
-        )
+    report = args.estimate(args)
     _emit(report.to_json() + "\n", _out_path(args.out, f"{report.name}.json"))
     print(f"{report.name}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
@@ -251,13 +241,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "lemma":
-            return cmd_lemma(args)
-        return cmd_fit(args)
+        return args.func(args)
     except (ConfigError, harness.FitError, lemmas.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

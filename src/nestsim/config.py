@@ -1,4 +1,4 @@
-"""Experiment configuration: colony size, candidate nests, qualities, seed."""
+"""Experiment configuration: colony size, candidate nests, qualities, algorithm."""
 
 from __future__ import annotations
 
@@ -25,12 +25,11 @@ def default_max_rounds(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class ColonyConfig:
-    """One run definition: (n, k, qualities, seed, algorithm, round cap)."""
+    """One run definition: (n, k, qualities, algorithm, round cap)."""
 
     n: int
     k: int
     qualities: tuple
-    seed: int
     algorithm: str
     max_rounds: int = 0
 
@@ -48,8 +47,6 @@ class ColonyConfig:
             raise ConfigError("at least one nest must have quality 1")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
         if self.max_rounds == 0:
             object.__setattr__(self, "max_rounds", default_max_rounds(self.n, self.k))
         if self.max_rounds < 1:
@@ -70,20 +67,20 @@ class ColonyConfig:
         return self.qualities[i - 1]
 
 
-def analyzed_k_limit(algorithm: str, n: int, c: int = REGIME_C, d: int = REGIME_D) -> float:
+def analyzed_k_limit(algorithm: str, n: int) -> float:
     """Largest k the convergence analysis of the given algorithm covers."""
     logn = math.log(max(n, 2))
     if algorithm == "optimal":
-        return n / (12 * (c + 1) * logn)
-    return math.sqrt(n / (8 * d * d * (c + 6) * logn))
+        return n / (12 * (REGIME_C + 1) * logn)
+    return math.sqrt(n / (8 * REGIME_D**2 * (REGIME_C + 6) * logn))
 
 
-def make_qualities(k: int, pattern: str, rng=None) -> tuple:
+def make_qualities(k: int, pattern: str, rng) -> tuple:
     """Build a quality vector from a named pattern.
 
     Patterns: "one-good" (nest 1 suitable, rest not), "all-good", or
     "random:p" (each nest suitable with probability p, 0 < p <= 1, redrawn
-    until at least one is).  "random:p" requires an rng.
+    until at least one is), drawn from rng.
     """
     if pattern == "one-good":
         return (1,) + (0,) * (k - 1)
@@ -97,8 +94,6 @@ def make_qualities(k: int, pattern: str, rng=None) -> tuple:
         # p <= 0 would redraw forever
         if not 0 < p <= 1:
             raise ConfigError(f"{pattern!r}: p must be a number with 0 < p <= 1")
-        if rng is None:
-            raise ConfigError("random quality pattern needs an rng")
         while True:
             qs = tuple(int(x) for x in (rng.random(k) < p))
             if any(qs):

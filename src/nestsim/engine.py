@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +32,22 @@ class EngineError(RuntimeError):
     pass
 
 
+def _plain(x):
+    if isinstance(x, np.generic):
+        return x.item()
+    if isinstance(x, Fraction):
+        return float(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def dumps(obj) -> str:
+    """Compact JSON with sorted keys, the format of every trace and report.
+
+    numpy scalars and Fractions are written as the plain numbers they hold.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
+
+
 @dataclass
 class ConvergenceReport:
     converged: bool
@@ -39,7 +56,7 @@ class ConvergenceReport:
     reason: str  # converged | round_cap | precondition_violation
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return dumps(asdict(self))
 
 
 class Trace:
@@ -53,10 +70,7 @@ class Trace:
         self.records.append(rec)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-            for rec in self.records
-        )
+        return "".join(dumps(rec) + "\n" for rec in self.records)
 
 
 def stream_from_key(*key: int) -> np.random.Generator:
@@ -108,7 +122,7 @@ def _resolve_arrays(world: WorldState, kind, b, target, rng):
 
 def run(
     config: ColonyConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     verbose: bool = False,
     continue_rounds: int = 0,
 ):
@@ -117,8 +131,6 @@ def run(
     `continue_rounds` keeps the run going past first convergence, recording
     the winner seen each extra round in trace.post_winners.
     """
-    if rng is None:
-        rng = stream_from_key(config.seed)
     cohort = make_cohort(config)
     world = WorldState(config.n, config.k)
     trace = Trace()

@@ -19,20 +19,6 @@ from .engine import run, stream_from_key
 
 CSV_SCHEMA = "# nestsim-sweep-csv v1"
 
-COLUMNS = [
-    "algorithm",
-    "n",
-    "k",
-    "trials",
-    "converged",
-    "median_rounds",
-    "mean_rounds",
-    "p10_rounds",
-    "p90_rounds",
-    "min_rounds",
-    "max_rounds",
-]
-
 
 class FitError(ValueError):
     pass
@@ -72,9 +58,13 @@ class SummaryRow:
     max_rounds: int
 
 
+COLUMNS = [f.name for f in fields(SummaryRow)]
+# CSV text to value, by field type (annotations are strings here)
+_PARSE = {"str": str, "int": int, "float": float}
+
+
 def run_cell(spec: ExperimentSpec, n: int, k: int) -> SummaryRow:
     rounds = []
-    converged = 0
     for t in range(spec.trials):
         rng = stream_from_key(spec.seed, n, k, t)
         qualities = make_qualities(k, spec.pattern, rng)
@@ -82,40 +72,26 @@ def run_cell(spec: ExperimentSpec, n: int, k: int) -> SummaryRow:
             n=n,
             k=k,
             qualities=qualities,
-            seed=spec.seed,
             algorithm=spec.algorithm,
             max_rounds=spec.max_rounds,
         )
         _trace, report = run(config, rng=rng)
         if report.converged:
-            converged += 1
             rounds.append(report.rounds_to_converge)
-    if rounds:
-        arr = np.asarray(rounds, dtype=np.float64)
-        stats = dict(
-            median_rounds=float(np.median(arr)),
-            mean_rounds=float(arr.mean()),
-            p10_rounds=float(np.percentile(arr, 10)),
-            p90_rounds=float(np.percentile(arr, 90)),
-            min_rounds=int(arr.min()),
-            max_rounds=int(arr.max()),
-        )
-    else:
-        stats = dict(
-            median_rounds=math.nan,
-            mean_rounds=math.nan,
-            p10_rounds=math.nan,
-            p90_rounds=math.nan,
-            min_rounds=0,
-            max_rounds=0,
-        )
+    # a cell with no converged trial gets nan statistics and 0 extremes
+    arr = np.asarray(rounds or [math.nan], dtype=np.float64)
     return SummaryRow(
         algorithm=spec.algorithm,
         n=n,
         k=k,
         trials=spec.trials,
-        converged=converged,
-        **stats,
+        converged=len(rounds),
+        median_rounds=float(np.median(arr)),
+        mean_rounds=float(arr.mean()),
+        p10_rounds=float(np.percentile(arr, 10)),
+        p90_rounds=float(np.percentile(arr, 90)),
+        min_rounds=int(arr.min()) if rounds else 0,
+        max_rounds=int(arr.max()) if rounds else 0,
     )
 
 
@@ -146,17 +122,11 @@ def csv_to_rows(text: str) -> list:
     header = lines[0].split(",")
     if header != COLUMNS:
         raise FitError(f"unexpected CSV columns {header}")
-    types = {f.name: f.type for f in fields(SummaryRow)}
-    rows = []
-    for ln in lines[1:]:
-        values = ln.split(",")
-        kwargs = {}
-        for name, raw in zip(COLUMNS, values):
-            kwargs[name] = raw if types[name] == "str" else (
-                int(raw) if types[name] == "int" else float(raw)
-            )
-        rows.append(SummaryRow(**kwargs))
-    return rows
+    parse = [_PARSE[f.type] for f in fields(SummaryRow)]
+    return [
+        SummaryRow(*(p(raw) for p, raw in zip(parse, ln.split(","))))
+        for ln in lines[1:]
+    ]
 
 
 def fit_scaling(rows, model: str):

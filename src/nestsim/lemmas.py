@@ -10,15 +10,14 @@ roughly 1e-3 per check.  All estimators are deterministic given their
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .config import REGIME_C, REGIME_D
-from .engine import stream_from_key
+from .engine import dumps, stream_from_key
 from .matching import match_arrays
 
 RECRUIT_SUCCESS_BOUND = Fraction(1, 16)
@@ -46,8 +45,9 @@ class ScenarioSpec:
         object.__setattr__(self, "groups", groups)
         if not groups:
             raise ScenarioError("scenario needs at least one group")
-        if any(c < 0 for _, c, _ in groups):
-            raise ScenarioError("group counts must be non-negative")
+        # an empty group would pass or fail a check on no ants at all
+        if any(c < 1 for _, c, _ in groups):
+            raise ScenarioError("group counts must be positive")
         if self.trials < 1:
             raise ScenarioError("trials must be positive")
 
@@ -70,32 +70,7 @@ class EstimateReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return float(x)
-            if isinstance(x, (bool, np.bool_)):
-                return bool(x)
-            if isinstance(x, (np.integer,)):
-                return int(x)
-            if isinstance(x, (np.floating,)):
-                return float(x)
-            if isinstance(x, dict):
-                return {str(k): enc(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [enc(v) for v in x]
-            return x
-
-        payload = {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "trials": self.trials,
-            "estimates": enc(self.estimates),
-            "stderr": enc(self.stderr),
-            "bounds": enc(self.bounds),
-            "details": enc(self.details),
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return dumps(asdict(self))
 
 
 def _bernoulli_se(p: float, trials: int) -> float:
@@ -137,9 +112,7 @@ def recruit_success_rate(spec: ScenarioSpec) -> EstimateReport:
     )
 
 
-def ignorance_retention(
-    n: int, trials: int, seed: int, max_rounds: int | None = None
-) -> EstimateReport:
+def ignorance_retention(n: int, trials: int, seed: int) -> EstimateReport:
     """Maximal rumor spreading: how slowly does one informed ant's nest id reach all?
 
     One informed ant starts; each round every informed ant leads recruitments
@@ -157,8 +130,7 @@ def ignorance_retention(
             estimates={"rounds_to_full_min": 0},
             notes=["single ant is trivially informed at round 0"],
         )
-    if max_rounds is None:
-        max_rounds = 40 * max(1, math.ceil(math.log2(n)))
+    max_rounds = 40 * max(1, math.ceil(math.log2(n)))
     rng = stream_from_key(seed)
     ign_start = []
     ign_end = []
@@ -360,6 +332,8 @@ def _profile_commitments(n: int, k: int, sizes_by_nest: dict) -> np.ndarray:
     Nests named in sizes_by_nest get exactly that many ants; remaining ants
     are spread as evenly as possible over the unnamed candidate nests.
     """
+    if any(not 1 <= nest <= k for nest in sizes_by_nest):
+        raise ScenarioError(f"profile names a nest outside the candidates 1..{k}")
     total_named = sum(sizes_by_nest.values())
     if total_named > n:
         raise ScenarioError("profile exceeds the colony size")
@@ -367,12 +341,8 @@ def _profile_commitments(n: int, k: int, sizes_by_nest: dict) -> np.ndarray:
     leftover = n - total_named
     if leftover and not rest:
         raise ScenarioError("profile leaves ants without a nest")
-    commit = []
-    for nest, size in sizes_by_nest.items():
-        commit.extend([nest] * size)
-    for idx in range(leftover):
-        commit.append(rest[idx % len(rest)])
-    return np.asarray(commit, dtype=np.int64)
+    named = np.repeat(list(sizes_by_nest), list(sizes_by_nest.values()))
+    return np.concatenate([named, np.resize(rest, leftover)]).astype(np.int64)
 
 
 def _one_recruit_cycle(commit: np.ndarray, n: int, k: int, rng) -> np.ndarray:
@@ -393,7 +363,6 @@ def ratio_growth(
     sizes: tuple,
     trials: int,
     seed: int,
-    d: int = REGIME_D,
 ) -> EstimateReport:
     """Mean relative-gap growth of two large nests over one recruitment round.
 
@@ -403,7 +372,7 @@ def ratio_growth(
     if len(sizes) != 2:
         raise ScenarioError("sizes must name exactly two nests")
     s1, s2 = int(sizes[0]), int(sizes[1])
-    threshold = n / (d * k)
+    threshold = n / (REGIME_D * k)
     if s1 < threshold or s2 < threshold:
         raise ScenarioError(f"both sizes must be >= n/(dk) = {threshold:.1f}")
     commit0 = _profile_commitments(n, k, {1: s1, 2: s2})
@@ -426,7 +395,7 @@ def ratio_growth(
         if eps_after.size > 1
         else math.inf
     )
-    factor = 1 + 1 / (2 * d * k)
+    factor = 1 + 1 / (2 * REGIME_D * k)
     target = factor * eps_before
     return EstimateReport(
         name="ratio-growth",
@@ -439,7 +408,7 @@ def ratio_growth(
         },
         stderr={"eps_after_mean": se},
         bounds={"growth_factor": factor, "target": target, "se_margin": 3},
-        details={"n": n, "k": k, "sizes": [s1, s2], "d": d},
+        details={"n": n, "k": k, "sizes": [s1, s2], "d": REGIME_D},
     )
 
 
@@ -449,8 +418,6 @@ def dropout_time(
     seeded_small_nest: int,
     trials: int,
     seed: int,
-    c: int = REGIME_C,
-    d: int = REGIME_D,
 ) -> EstimateReport:
     """Rounds until an initially small nest's population reaches zero.
 
@@ -460,9 +427,10 @@ def dropout_time(
     recruit/assess cycle.
     """
     small = int(seeded_small_nest)
-    if small > n / (d * k):
-        raise ScenarioError(f"small nest must start with <= n/(dk) = {n / (d * k):.1f} ants")
-    bound_rounds = 64 * (c + 4) * k * math.log(n)
+    limit = n / (REGIME_D * k)
+    if not 0 <= small <= limit:
+        raise ScenarioError(f"small nest must start with 0 to n/(dk) = {limit:.1f} ants")
+    bound_rounds = 64 * (REGIME_C + 4) * k * math.log(n)
     if small == 0:
         return EstimateReport(
             name="dropout-time",
@@ -508,5 +476,5 @@ def dropout_time(
         },
         stderr={"within_bound_rate": _bernoulli_se(rate, trials)},
         bounds={"round_bound": bound_rounds, "quota": 0.99},
-        details={"n": n, "k": k, "seeded": small, "c": c, "d": d},
+        details={"n": n, "k": k, "seeded": small, "c": REGIME_C, "d": REGIME_D},
     )

@@ -17,15 +17,15 @@ from reference import (
 )
 
 
-def _config(algorithm, n=64, k=3, qualities=(1, 1, 0), seed=0, **kw):
+def _config(algorithm, n=64, k=3, qualities=(1, 1, 0), **kw):
     return ColonyConfig(
-        n=n, k=k, qualities=qualities, seed=seed, algorithm=algorithm, **kw
+        n=n, k=k, qualities=qualities, algorithm=algorithm, **kw
     )
 
 
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_trace_is_deterministic(algorithm):
-    config = _config(algorithm, seed=11)
+    config = _config(algorithm)
     t1, r1 = run(config, rng=stream_from_key(11), verbose=True)
     t2, r2 = run(config, rng=stream_from_key(11), verbose=True)
     assert t1.to_jsonl() == t2.to_jsonl()
@@ -34,7 +34,7 @@ def test_trace_is_deterministic(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_counts_sum_to_n(algorithm):
-    config = _config(algorithm, seed=3)
+    config = _config(algorithm)
     trace, _ = run(config, rng=stream_from_key(3))
     for rec in trace.records:
         assert sum(rec["counts"]) == config.n
@@ -43,7 +43,7 @@ def test_counts_sum_to_n(algorithm):
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_winner_is_suitable_and_stable(algorithm):
     for seed in range(8):
-        config = _config(algorithm, qualities=(1, 0, 1), seed=seed)
+        config = _config(algorithm, qualities=(1, 0, 1))
         trace, report = run(
             config, rng=stream_from_key(seed), continue_rounds=20
         )

@@ -130,17 +130,74 @@ def test_cli_run_usage_error():
     assert cli.main(["frobnicate"]) == 2
 
 
+# each subcommand's minimal argv and every flag's dest and default, as the
+# parser built them before the shared flags moved into parent parsers
+CLI_SURFACE = {
+    "run": (["run"], {
+        "command": "run", "config": None, "algo": "simple", "n": 256, "k": 4,
+        "qualities": "one-good", "seed": 0, "max_rounds": 0, "out": None,
+        "verbose_trace": False,
+    }),
+    "sweep": (["sweep"], {
+        "command": "sweep", "config": None, "algo": "simple", "n": (64, 256),
+        "k": (4,), "qualities": "all-good", "trials": 100, "seed": 0,
+        "max_rounds": 0, "out": None,
+    }),
+    "recruit-success": (["lemma", "recruit-success"], {
+        "command": "lemma", "lemma": "recruit-success", "active": 2, "passive": 0,
+        "trials": 100000, "seed": 0, "out": None,
+    }),
+    "retention": (["lemma", "retention"], {
+        "command": "lemma", "lemma": "retention", "n": 256, "trials": 10000,
+        "seed": 0, "out": None,
+    }),
+    "nest-delta": (["lemma", "nest-delta", "--sizes", "8,8"], {
+        "command": "lemma", "lemma": "nest-delta", "sizes": (8, 8),
+        "trials": 100000, "seed": 0, "out": None,
+    }),
+    "eps-init": (["lemma", "eps-init"], {
+        "command": "lemma", "lemma": "eps-init", "n": 8, "k": 2, "mode": "exact",
+        "trials": 100000, "seed": 0, "out": None,
+    }),
+    "ratio-growth": (["lemma", "ratio-growth", "--sizes", "2400,1696"], {
+        "command": "lemma", "lemma": "ratio-growth", "n": 4096, "k": 2,
+        "sizes": (2400, 1696), "trials": 10000, "seed": 0, "out": None,
+    }),
+    "dropout": (["lemma", "dropout"], {
+        "command": "lemma", "lemma": "dropout", "n": 4096, "k": 4, "small": 16,
+        "trials": 500, "seed": 0, "out": None,
+    }),
+    "fit": (["fit", "--csv", "sweep.csv", "--model", "logn"], {
+        "command": "fit", "csv": "sweep.csv", "model": "logn",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_SURFACE))
+def test_cli_surface(name):
+    argv, expected = CLI_SURFACE[name]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    dispatch = {"func", "estimate"}
+    assert {k: v for k, v in parsed.items() if k not in dispatch} == expected
+
+
+# every subcommand that takes --seed
+SEEDED_ARGV = {
+    "run": ["run", "--n", "16", "--k", "2"],
+    "sweep": ["sweep", "--n", "16", "--k", "2", "--trials", "2"],
+    "lemma": ["lemma", "recruit-success", "--trials", "10"],
+    "lemma-retention": ["lemma", "retention", "--n", "4", "--trials", "2"],
+    "lemma-nest-delta": ["lemma", "nest-delta", "--sizes", "2,2", "--trials", "2"],
+    "lemma-eps-init": ["lemma", "eps-init"],
+    "lemma-ratio-growth": ["lemma", "ratio-growth", "--sizes", "2400,1696", "--trials", "2"],
+    "lemma-dropout": ["lemma", "dropout", "--trials", "2"],
+}
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "abc"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--n", "16", "--k", "2"],
-        ["sweep", "--n", "16", "--k", "2", "--trials", "2"],
-        ["lemma", "recruit-success", "--trials", "10"],
-    ],
-    ids=["run", "sweep", "lemma"],
-)
-def test_cli_rejects_bad_seed(argv, seed, capsys):
+@pytest.mark.parametrize("name", list(SEEDED_ARGV))
+def test_cli_rejects_bad_seed(name, seed, capsys):
+    argv = SEEDED_ARGV[name]
     assert cli.main([*argv, "--seed", seed]) == 2
     err = capsys.readouterr().err
     assert "--seed" in err
@@ -155,8 +212,15 @@ def test_cli_rejects_bad_seed(argv, seed, capsys):
         ["lemma", "eps-init", "--n", "1"],
         ["lemma", "eps-init", "--n", "1", "--mode", "monte-carlo"],
         ["lemma", "ratio-growth", "--sizes", "5"],
+        ["lemma", "ratio-growth", "--n", "4096", "--k", "1", "--sizes", "2000,2096",
+         "--trials", "20"],
+        ["lemma", "nest-delta", "--sizes", "0,0", "--trials", "5"],
+        ["lemma", "nest-delta", "--sizes", "8,0", "--trials", "5"],
+        ["lemma", "dropout", "--n", "256", "--k", "2", "--small", "-5", "--trials", "2"],
     ],
-    ids=["random-p-zero", "random-p-abc", "eps-init-exact", "eps-init-mc", "ratio-one-size"],
+    ids=["random-p-zero", "random-p-abc", "eps-init-exact", "eps-init-mc",
+         "ratio-one-size", "ratio-missing-nest", "nest-delta-empty",
+         "nest-delta-empty-cohort", "dropout-negative-small"],
 )
 def test_cli_rejects_bad_input(argv, capsys):
     assert cli.main(argv) == 2

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from nestsim.lemmas import (
     ScenarioError,
     ScenarioSpec,
+    _profile_commitments,
     dropout_time,
     ignorance_retention,
     initial_gap_expectation,
@@ -19,6 +21,8 @@ def test_scenario_spec_validation():
         ScenarioSpec((), 10, 0)
     with pytest.raises(ScenarioError):
         ScenarioSpec(((1, -1, 1),), 10, 0)
+    with pytest.raises(ScenarioError):
+        ScenarioSpec(((1, 8, 1), (2, 0, 1)), 10, 0)
     with pytest.raises(ScenarioError):
         ScenarioSpec(((1, 2, 1),), 0, 0)
 
@@ -118,6 +122,32 @@ def test_ratio_growth_symmetric_start():
 def test_ratio_growth_rejects_small_nest():
     with pytest.raises(ScenarioError):
         ratio_growth(256, 2, (255, 1), 100, 0)
+
+
+def _profile_loop(n, k, sizes_by_nest):
+    # named nests in order, then the rest dealt out over the unnamed nests
+    commit = [nest for nest, size in sizes_by_nest.items() for _ in range(size)]
+    rest = [i for i in range(1, k + 1) if i not in sizes_by_nest]
+    return commit + [rest[i % len(rest)] for i in range(n - len(commit))]
+
+
+@pytest.mark.parametrize(
+    "n, k, sizes",
+    [(10, 4, {2: 3, 1: 2}), (4, 2, {1: 1, 2: 3}), (4096, 4, {1: 16}),
+     (4096, 2, {1: 2400, 2: 1696}), (7, 5, {3: 0})],
+)
+def test_profile_commitments_layout(n, k, sizes):
+    commit = _profile_commitments(n, k, sizes)
+    assert commit.dtype == np.int64
+    assert commit.tolist() == _profile_loop(n, k, sizes)
+
+
+def test_ratio_growth_rejects_missing_nest():
+    # at k = 1 there is no nest 2 to seat the second size on
+    with pytest.raises(ScenarioError):
+        ratio_growth(4096, 1, (2000, 2096), 20, 0)
+    with pytest.raises(ScenarioError):
+        _profile_commitments(8, 2, {3: 4})
 
 
 def test_ratio_growth_grows_the_gap():

@@ -183,7 +183,7 @@ def test_committed_nest():
 
 def _recorded_run(monkeypatch, n, k, qualities, seed):
     config = ColonyConfig(
-        n=n, k=k, qualities=qualities, seed=seed, algorithm="optimal"
+        n=n, k=k, qualities=qualities, algorithm="optimal"
     )
     rounds = record_rounds(monkeypatch, OptimalCohort)
     trace, report = run(config, rng=stream_from_key(seed))
@@ -258,7 +258,7 @@ def test_final_is_absorbing(seed, monkeypatch):
 
 def test_converges_single_candidate():
     config = ColonyConfig(
-        n=4, k=1, qualities=(1,), seed=0, algorithm="optimal"
+        n=4, k=1, qualities=(1,), algorithm="optimal"
     )
     _, report = run(config, rng=stream_from_key(0))
     assert report.converged

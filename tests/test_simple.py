@@ -135,7 +135,7 @@ def test_assess_updates_count():
 
 def _recorded_run(monkeypatch, n, k, qualities, seed):
     config = ColonyConfig(
-        n=n, k=k, qualities=qualities, seed=seed, algorithm="simple"
+        n=n, k=k, qualities=qualities, algorithm="simple"
     )
     rounds = record_rounds(monkeypatch, SimpleCohort)
     trace, report = run(config, rng=stream_from_key(seed))
