@@ -25,7 +25,7 @@ from .config import ColonyConfig
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
+from .world import HOME, K_RECRUIT, K_SEARCH, WorldState, validate
 
 
 class EngineError(RuntimeError):
@@ -87,37 +87,28 @@ def make_cohort(config: ColonyConfig):
 def _resolve_arrays(world: WorldState, kind, b, target, rng):
     """Apply all moves, run the matcher, compute end-of-round counts.
 
-    Returns (res_nest, res_count, counts): each ant's result nest and count,
-    and the per-nest populations.
+    Returns (res_nest, res_count, counts, led): each ant's result nest and
+    count, the per-nest populations, and whether another ant led it.
+    Visits grow only by searching and by being led: `validate` found every
+    go target visited, and recruiters end the round at the home nest.
     """
-    n, k = world.n, world.k
-    loc = world.location
-    res_nest = np.zeros(n, dtype=np.int64)
-    res_count = np.zeros(n, dtype=np.int64)
-
+    res_nest = target.copy()
+    led = np.zeros(world.n, dtype=bool)
     searchers = np.nonzero(kind == K_SEARCH)[0]
-    if searchers.size:
-        draws = rng.integers(1, k + 1, size=searchers.size)
-        loc[searchers] = draws
-        res_nest[searchers] = draws
-    goers = np.nonzero(kind == K_GO)[0]
-    loc[goers] = target[goers]
-    res_nest[goers] = target[goers]
-    rec = np.nonzero(kind == K_RECRUIT)[0]
+    res_nest[searchers] = rng.integers(1, world.k + 1, size=searchers.size)
+    world.visited[searchers, res_nest[searchers]] = True
+    recruiting = kind == K_RECRUIT
+    rec = np.nonzero(recruiting)[0]
     if rec.size:
-        loc[rec] = 0
-        _pairs, returned = match_arrays(b[rec] == 1, target[rec], rng)
+        pairs, returned = match_arrays(b[rec] == 1, target[rec], rng)
         res_nest[rec] = returned
-
-    counts = np.bincount(loc, minlength=k + 1)
-    res_count[searchers] = counts[res_nest[searchers]]
-    res_count[goers] = counts[res_nest[goers]]
-    res_count[rec] = counts[0]
-
-    world.visited[np.arange(n), loc] = True
-    # being led somewhere counts as having been shown the nest
-    world.visited[rec, res_nest[rec]] = True
-    return res_nest, res_count, counts
+        # being led somewhere counts as having been shown the nest
+        followers = rec[pairs[pairs[:, 0] != pairs[:, 1], 1]]
+        led[followers] = True
+        world.visited[followers, res_nest[followers]] = True
+    world.location = np.where(recruiting, HOME, res_nest)
+    counts = np.bincount(world.location, minlength=world.k + 1)
+    return res_nest, counts[world.location], counts, led
 
 
 def run(
@@ -147,8 +138,8 @@ def run(
         if validate(world, kind, target) is not None:
             reason = "precondition_violation"
             break
-        res_nest, res_count, counts = _resolve_arrays(world, kind, b, target, rng)
-        cohort.absorb(r, res_nest, res_count)
+        res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rng)
+        cohort.absorb(r, res_nest, res_count, led)
         rec = {
             "round": r,
             "counts": counts.tolist(),

@@ -78,7 +78,7 @@ class OptimalCohort:
             kind[m] = K_RECRUIT
         return kind, b, target
 
-    def absorb(self, r: int, res_nest, res_count):
+    def absorb(self, r: int, res_nest, res_count, led):
         if r == 1:
             self.nest = res_nest.astype(np.int64)
             self.count = res_count.astype(np.int64)
@@ -93,9 +93,10 @@ class OptimalCohort:
         if sub == 1:
             self.nest_t[act] = res_nest[act]
         elif sub == 2:
-            led = pas & (res_nest != self.nest)
-            self.nest[led] = res_nest[led]
-            self.mode[led] = FINAL
+            # a final ant's pick turns a passive one final, even on its own nest
+            picked = pas & led
+            self.nest[picked] = res_nest[picked]
+            self.mode[picked] = FINAL
             self.count_t[act] = res_count[act]
             same = self.nest_t == self.nest
             c1 = act & same & (self.count_t >= self.count)

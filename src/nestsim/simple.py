@@ -55,14 +55,13 @@ class SimpleCohort:
             kind[:] = K_GO
         return kind, b, target
 
-    def absorb(self, r: int, res_nest, res_count):
+    def absorb(self, r: int, res_nest, res_count, led):
         if r == 1:
             self.nest = res_nest.astype(np.int64)
             self.count = res_count.astype(np.int64)
             self.active = self.qual[self.nest - 1] == 1
             return
         if r % 2 == 0:
-            led = res_nest != self.nest
             self.nest[led] = res_nest[led]
             self.active |= led
         else:

@@ -4,12 +4,14 @@ The engine runs the strategies as array cohorts and resolves a round from
 parallel request arrays.  The tests hold those against the plainer forms
 here: request and result objects, a round resolved from a dict of them,
 each strategy's single-ant transition, the matcher on explicit calls, and
-the matcher's exact outcome distribution on tiny pools.
+the matcher's exact outcome distribution on tiny pools.  `strict_json`
+reads the JSON that nestsim writes without accepting what JSON lacks.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -22,6 +24,15 @@ from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
 from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
 
 MAX_EXACT_POOL = 6
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def strict_json(text: str):
+    """`json.loads` that rejects the NaN, Infinity and -Infinity tokens."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 class PreconditionViolation(RuntimeError):
@@ -64,6 +75,7 @@ class GoResult:
 class RecruitResult:
     nest: int        # where the ant ends up committed-to (own target unless led away)
     home_count: int
+    led: bool        # another ant picked this one, to whichever nest it leads
 
 
 def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
@@ -94,7 +106,7 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
     violation = validate(world, kind, target)
     if violation is not None:
         raise PreconditionViolation(violation)
-    res_nest, res_count, _counts = _resolve_arrays(world, kind, b, target, rng)
+    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, rng)
     out = {}
     for ant, req in requests.items():
         if isinstance(req, Search):
@@ -107,7 +119,9 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
             out[ant] = GoResult(count=int(res_count[ant]))
         else:
             out[ant] = RecruitResult(
-                nest=int(res_nest[ant]), home_count=int(res_count[ant])
+                nest=int(res_nest[ant]),
+                home_count=int(res_count[ant]),
+                led=bool(led[ant]),
             )
     return out
 
@@ -116,7 +130,7 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
     """Record every round a `cohort_cls` cohort plays while the patch holds.
 
     Each round gives one dict: the requests `emit` returned (kind, b,
-    target), the results `absorb` received (res_nest, res_count), and
+    target), the results `absorb` received (res_nest, res_count, led), and
     `state`, a copy of the cohort's arrays as `absorb` found them.
     """
     rounds = []
@@ -129,17 +143,18 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
         )
         return kind, b, target
 
-    def recording_absorb(self, r, res_nest, res_count):
+    def recording_absorb(self, r, res_nest, res_count, led):
         rounds[-1].update(
             res_nest=res_nest.copy(),
             res_count=res_count.copy(),
+            led=led.copy(),
             state={
                 name: value.copy()
                 for name, value in vars(self).items()
                 if isinstance(value, np.ndarray)
             },
         )
-        absorb(self, r, res_nest, res_count)
+        absorb(self, r, res_nest, res_count, led)
 
     monkeypatch.setattr(cohort_cls, "emit", recording_emit)
     monkeypatch.setattr(cohort_cls, "absorb", recording_absorb)
@@ -176,7 +191,7 @@ def _optimal_absorb(s: OptimalAntState, prev) -> None:
     elif blk == PASSIVE:
         if sub == 2:
             assert isinstance(prev, RecruitResult)
-            if prev.nest != s.nest:
+            if prev.led:
                 s.nest = prev.nest
                 s.mode = FINAL
     else:  # ACTIVE block
@@ -278,7 +293,7 @@ def simple_step(state: SimpleAntState, prev, n: int, rng):
         s.phase = "recruit"
     elif s.awaiting == "recruit":
         assert isinstance(prev, RecruitResult)
-        if prev.nest != s.nest:
+        if prev.led:
             s.nest = prev.nest
             s.active = True
         s.phase = "assess"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from nestsim import engine
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
 from nestsim.optimal import OptimalCohort
-from nestsim.world import K_GO, WorldState
+from nestsim.world import K_GO, K_RECRUIT, WorldState
 from reference import (
     Go,
     GoResult,
@@ -112,7 +113,7 @@ def test_resolve_round_lone_recruiter():
     out = resolve_round(
         {0: Recruit(1, 2), 1: Go(1), 2: Go(2)}, world, (1, 0), stream_from_key(0)
     )
-    assert out[0] == RecruitResult(nest=2, home_count=1)
+    assert out[0] == RecruitResult(nest=2, home_count=1, led=False)
     assert out[1] == GoResult(count=1)
 
 
@@ -126,7 +127,9 @@ def test_resolve_round_all_recruiting():
     assert np.all(world.location == 0)
     assert all(out[a].home_count == 6 for a in range(6))
     # only active ants can lead, so at most 3 ants can be led away
-    led = [a for a in range(6) if out[a].nest != reqs[a].target]
+    moved = {a for a in range(6) if out[a].nest != reqs[a].target}
+    led = {a for a in range(6) if out[a].led}
+    assert moved <= led
     assert len(led) <= 3
 
 
@@ -171,3 +174,36 @@ def test_search_results_track_locations():
     for a in range(50):
         assert out[a].count == tallies[out[a].nest]
         assert world.visited[a, out[a].nest]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
+    """Writing visits for searchers and led ants alone loses no visit.
+
+    Each round every ant has visited where it stands and its result nest,
+    and `visited` equals what a write over every ant's location plus every
+    recruiter's result nest gives.  n = 64 pools recruiters below the
+    matcher's parallel threshold and n = 256 at or above it.
+    """
+    resolve = engine._resolve_arrays
+    shadow = {"rounds": 0}
+
+    def checked(world, kind, b, target, rng):
+        want = shadow.setdefault("visited", world.visited.copy())
+        res_nest, res_count, counts, led = resolve(world, kind, b, target, rng)
+        ants = np.arange(world.n)
+        assert world.visited[ants, world.location].all()
+        assert world.visited[ants, res_nest].all()
+        want[ants, world.location] = True
+        rec = kind == K_RECRUIT
+        want[rec, res_nest[rec]] = True
+        assert np.array_equal(world.visited, want)
+        shadow["rounds"] += 1
+        return res_nest, res_count, counts, led
+
+    monkeypatch.setattr(engine, "_resolve_arrays", checked)
+    trace, report = run(_config(algorithm, n=n, k=4, qualities=(1, 0, 1, 1)),
+                        rng=stream_from_key(n))
+    assert report.converged
+    assert shadow["rounds"] == len(trace.records)

@@ -3,9 +3,10 @@
 Every seeded output of nestsim is meant to be byte-identical from one
 version to the next unless a change says otherwise.  These hashes pin a
 `run` trace and report for both algorithms over small and medium colonies,
-one sweep CSV, and one JSON report per lemma estimator.  The n = 4096 cases
-resolve their recruitment pools on the matcher's large-pool path, the
-smaller ones on its scalar path.
+one sweep CSV, and one JSON report per lemma estimator, and every line of
+a trace or report must parse as strict JSON.  The n = 4096 cases resolve
+their recruitment pools on the matcher's large-pool path, the smaller
+ones on its scalar path.
 
 A change that moves an output on purpose records why in CHANGES.md and
 regenerates the table with
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from nestsim import cli
+from reference import strict_json
 
 
 def _run_argv(algo, n, qualities, seed):
@@ -101,6 +103,10 @@ def digest(argv, tmp):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     assert digest(CASES[name], tmp_path) == GOLDEN[name]
+    if CASES[name][0] != "sweep":  # every other file is JSON lines
+        for path in tmp_path.iterdir():
+            for line in path.read_text(encoding="utf-8").splitlines():
+                strict_json(line)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from nestsim.harness import (
     rows_to_csv,
     sweep,
 )
+from reference import strict_json
 
 
 def _row(n, k, median, algorithm="simple"):
@@ -225,6 +226,34 @@ def test_cli_rejects_bad_seed(name, seed, capsys):
 def test_cli_rejects_bad_input(argv, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", list(SEEDED_ARGV))
+def test_cli_out_leaves_stdout_empty(name, tmp_path, capsys):
+    """With --out every output goes to files, so stdout stays empty."""
+    code = cli.main([*SEEDED_ARGV[name], "--out", str(tmp_path / "out")])
+    assert code in (0, 1)
+    assert capsys.readouterr().out == ""
+    assert any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "ratio-growth", "--n", "4096", "--k", "2", "--sizes", "2048,2048",
+         "--trials", "1"],
+        ["lemma", "eps-init", "--n", "64", "--k", "3", "--mode", "monte-carlo",
+         "--trials", "1"],
+    ],
+    ids=["ratio-growth", "eps-init"],
+)
+def test_cli_lemma_without_standard_error_fails(argv, capsys):
+    """One usable sample gives no standard error: a null SE and a failed check."""
+    assert cli.main(argv) == 1
+    report = strict_json(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert list(report["stderr"].values()) == [None]
+    assert report["notes"]
 
 
 def test_cli_run_bad_quality_vector():

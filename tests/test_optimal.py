@@ -58,10 +58,10 @@ def test_active_case1_reaches_final_on_home_count_match():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=2, home_count=10),   # R1: not led away
+            RecruitResult(nest=2, home_count=10, led=False),  # R1: not led
             GoResult(count=12),                     # R2: population grew
             GoResult(count=12),                     # R3
-            RecruitResult(nest=2, home_count=12),   # R4: home count matches
+            RecruitResult(nest=2, home_count=12, led=False),  # R4: count matches
         ]
     )
     assert reqs[2] == Go(2)
@@ -76,10 +76,10 @@ def test_active_case1_stays_active_on_home_mismatch():
     states, _ = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=2, home_count=10),
+            RecruitResult(nest=2, home_count=10, led=False),
             GoResult(count=12),
             GoResult(count=12),
-            RecruitResult(nest=2, home_count=4),
+            RecruitResult(nest=2, home_count=4, led=False),
         ]
     )
     assert states[-1].mode == ACTIVE
@@ -89,7 +89,7 @@ def test_active_case2_drops_to_passive():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=2, home_count=10),
+            RecruitResult(nest=2, home_count=10, led=False),
             GoResult(count=7),                      # R2: population shrank
         ]
     )
@@ -98,9 +98,9 @@ def test_active_case2_drops_to_passive():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=2, home_count=10),
+            RecruitResult(nest=2, home_count=10, led=False),
             GoResult(count=7),
-            RecruitResult(nest=2, home_count=1),
+            RecruitResult(nest=2, home_count=1, led=False),
         ]
     )
     assert reqs[-1] == Go(2)                        # R4 padding
@@ -110,7 +110,7 @@ def test_active_case3_adopts_new_nest():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=3, home_count=10),   # led away to nest 3
+            RecruitResult(nest=3, home_count=10, led=True),  # led to nest 3
             GoResult(count=9),                      # R2 at the new nest
         ]
     )
@@ -121,7 +121,7 @@ def test_active_case3_adopts_new_nest():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=3, home_count=10),
+            RecruitResult(nest=3, home_count=10, led=True),
             GoResult(count=9),
             GoResult(count=9),                      # R3: nest kept competing
         ]
@@ -134,7 +134,7 @@ def test_active_case3_drop_detection():
     states, _ = drive(
         [
             SearchResult(nest=2, quality=1, count=10),
-            RecruitResult(nest=3, home_count=10),
+            RecruitResult(nest=3, home_count=10, led=True),
             GoResult(count=9),
             GoResult(count=4),                      # R3: new nest emptied out
         ]
@@ -156,7 +156,7 @@ def test_passive_block_and_promotion():
         [
             SearchResult(nest=1, quality=0, count=4),
             GoResult(count=4),
-            RecruitResult(nest=2, home_count=3),    # picked up by a final ant
+            RecruitResult(nest=2, home_count=3, led=True),  # a final ant's pick
         ]
     )
     assert states[-1].mode == FINAL
@@ -166,12 +166,36 @@ def test_passive_block_and_promotion():
         [
             SearchResult(nest=1, quality=0, count=4),
             GoResult(count=4),
-            RecruitResult(nest=1, home_count=3),
+            RecruitResult(nest=1, home_count=3, led=False),
             GoResult(count=1),
         ]
     )
     assert states[-1].mode == PASSIVE
     assert reqs[-1] == Go(1)
+
+
+def test_passive_led_to_own_nest_turns_final():
+    """A final ant's pick promotes a passive ant even if the nest is its own."""
+    dropped = [
+        SearchResult(nest=2, quality=1, count=10),
+        RecruitResult(nest=2, home_count=10, led=False),
+        GoResult(count=7),                          # case 2: drops out
+        RecruitResult(nest=2, home_count=1, led=False),
+        GoResult(count=7),                          # passive from here on
+        GoResult(count=7),
+    ]
+    states, reqs = drive(dropped)
+    assert states[-1].mode == PASSIVE
+    assert reqs[-1] == Recruit(0, 2)
+    states, reqs = drive(
+        [*dropped, RecruitResult(nest=2, home_count=9, led=True), GoResult(count=9)]
+    )
+    assert states[-1].mode == FINAL
+    assert states[-1].nest == 2
+    states, reqs = drive(
+        [*dropped, RecruitResult(nest=2, home_count=9, led=False), GoResult(count=9)]
+    )
+    assert states[-1].mode == PASSIVE
 
 
 def test_committed_nest():
@@ -181,22 +205,29 @@ def test_committed_nest():
     assert states[-1].nest == 2
 
 
-def _recorded_run(monkeypatch, n, k, qualities, seed):
+def _recorded_run(monkeypatch, n, k, qualities, *key):
     config = ColonyConfig(
         n=n, k=k, qualities=qualities, algorithm="optimal"
     )
     rounds = record_rounds(monkeypatch, OptimalCohort)
-    trace, report = run(config, rng=stream_from_key(seed))
+    trace, report = run(config, rng=stream_from_key(*key))
     assert report.converged, report
     assert len(rounds) == len(trace.records)
     return config, trace, rounds
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cohort_matches_per_ant_step(seed, monkeypatch):
+@pytest.mark.parametrize(
+    "n, k, qualities, key",
+    [
+        *(pytest.param(32, 3, (1, 1, 0), (s,), id=str(s)) for s in (0, 1, 2)),
+        # trial 15 of `sweep --n 64 --k 4 --seed 7`: passive ants wait on the
+        # nest the final ants lead to, so only a pick can turn them final
+        pytest.param(64, 4, (1, 1, 1, 1), (7, 64, 4, 15), id="7-64-4-15"),
+    ],
+)
+def test_cohort_matches_per_ant_step(n, k, qualities, key, monkeypatch):
     """The engine's array path must replay exactly under the scalar step."""
-    config, _, rounds = _recorded_run(monkeypatch, 32, 3, (1, 1, 0), seed)
-    n = config.n
+    config, _, rounds = _recorded_run(monkeypatch, n, k, qualities, *key)
     states = [OptimalAntState() for _ in range(n)]
     prev = [None] * n
     for rec in rounds:
@@ -226,6 +257,7 @@ def test_cohort_matches_per_ant_step(seed, monkeypatch):
                 prev[ant] = RecruitResult(
                     nest=int(rec["res_nest"][ant]),
                     home_count=int(rec["res_count"][ant]),
+                    led=bool(rec["led"][ant]),
                 )
 
 

@@ -39,7 +39,7 @@ def test_counts_sum_to_n():
     assert c == [2, 3, 1]
     assert sum(c) == 6
     assert out[1] == GoResult(count=3) and out[3] == GoResult(count=1)
-    assert out[0] == RecruitResult(nest=1, home_count=2)
+    assert out[0] == RecruitResult(nest=1, home_count=2, led=False)
 
 
 def test_search_always_allowed():

@@ -86,7 +86,7 @@ def test_passive_rejoins_when_led_away():
     states, reqs = drive(
         [
             SearchResult(nest=3, quality=0, count=4),
-            RecruitResult(nest=5, home_count=9),
+            RecruitResult(nest=5, home_count=9, led=True),
         ]
     )
     s = states[-1]
@@ -98,7 +98,7 @@ def test_passive_idles_at_bad_nest():
     states, reqs = drive(
         [
             SearchResult(nest=3, quality=0, count=4),
-            RecruitResult(nest=3, home_count=9),
+            RecruitResult(nest=3, home_count=9, led=False),
             GoResult(count=2),
         ]
     )
@@ -112,7 +112,7 @@ def test_active_zero_count_never_leads():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=7),
-            RecruitResult(nest=2, home_count=1),
+            RecruitResult(nest=2, home_count=1, led=False),
             GoResult(count=0),
         ],
         draws=[0.0, 0.5],
@@ -124,7 +124,7 @@ def test_assess_updates_count():
     states, reqs = drive(
         [
             SearchResult(nest=2, quality=1, count=7),
-            RecruitResult(nest=2, home_count=1),
+            RecruitResult(nest=2, home_count=1, led=False),
             GoResult(count=11),
         ],
         draws=[0.0, 0.999],
@@ -184,6 +184,7 @@ def test_cohort_matches_per_ant_step(seed, monkeypatch):
                 prev[ant] = RecruitResult(
                     nest=int(rec["res_nest"][ant]),
                     home_count=int(rec["res_count"][ant]),
+                    led=bool(rec["led"][ant]),
                 )
 
 
