@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness, lemmas
-from .config import ColonyConfig, ConfigError, load_config_file, make_qualities
+from .config import ALGORITHMS, ColonyConfig, ConfigError, load_config_file, make_qualities
 from .engine import run, stream_from_key
 
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         # one child's set_defaults would move the other's default as well
         p = argparse.ArgumentParser(add_help=False, parents=[seeded])
         p.add_argument("--config", help="key=value file of flag values; flags given win")
-        p.add_argument("--algo", choices=("optimal", "simple"), default="simple")
+        p.add_argument("--algo", choices=ALGORITHMS, default="simple")
         p.add_argument(
             "--qualities",
             default="one-good",
@@ -235,14 +235,12 @@ def main(argv=None) -> int:
             # after the subcommand and ahead of the user's flags, which win
             argv[1:1] = _config_flags(args.config)
             args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
-    except (ConfigError, harness.FitError, lemmas.ScenarioError, OSError) as exc:
+    # an input file that is not UTF-8 raises a ValueError, not an OSError
+    except (ConfigError, harness.FitError, lemmas.ScenarioError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,7 @@ class ColonyConfig:
                 f"k={self.k} exceeds the analyzed regime for the {self.algorithm} "
                 f"algorithm at n={self.n} (limit ~{limit:.2f}); convergence bounds "
                 "are not guaranteed",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def quality(self, i: int) -> int:

@@ -1,11 +1,12 @@
 """Synchronous round driver.
 
-Each round: collect one request per ant from the strategy's cohort as
-arrays, check them with `world.validate`, place searchers on uniform random
-nests, move go-ers, resolve all recruiters in a single matching, compute
-end-of-round counts, hand the results back to the cohort, and check its
-convergence predicate.  A request that breaks the primitive contract ends
-the run with reason "precondition_violation".
+`rounds` plays a colony.  Each round: collect one request per ant from the
+strategy's cohort as arrays, check them with `world.validate`, place
+searchers on uniform random nests, move go-ers, resolve all recruiters in a
+single matching, compute end-of-round counts, hand the results back to the
+cohort, and ask it for its convergence nest.  A request that breaks the
+primitive contract ends the rounds.  `run` only decides when to stop: at
+the first winner, at the round cap, or when the rounds end.
 
 Per-round randomness is consumed in a fixed order so traces replay exactly
 from the seed: (1) the recruit-or-not batch drawn while collecting requests
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 import numpy as np
 
@@ -59,15 +61,11 @@ class ConvergenceReport:
         return dumps(asdict(self))
 
 
+@dataclass
 class Trace:
     """Per-round records of one run; JSONL-serializable."""
 
-    def __init__(self):
-        self.records = []            # one dict per round
-        self.post_winners = []       # winners seen after first convergence
-
-    def append(self, rec: dict):
-        self.records.append(rec)
+    records: list  # one dict per round
 
     def to_jsonl(self) -> str:
         return "".join(dumps(rec) + "\n" for rec in self.records)
@@ -76,12 +74,6 @@ class Trace:
 def stream_from_key(*key: int) -> np.random.Generator:
     """Deterministic stream from an arbitrary tuple of non-negative ints."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
-
-
-def make_cohort(config: ColonyConfig):
-    if config.algorithm == "optimal":
-        return OptimalCohort(config)
-    return SimpleCohort(config)
 
 
 def _resolve_arrays(world: WorldState, kind, b, target, rng):
@@ -111,33 +103,19 @@ def _resolve_arrays(world: WorldState, kind, b, target, rng):
     return res_nest, counts[world.location], counts, led
 
 
-def run(
-    config: ColonyConfig,
-    rng: np.random.Generator,
-    verbose: bool = False,
-    continue_rounds: int = 0,
-):
-    """Execute one seeded run; returns (Trace, ConvergenceReport).
+def rounds(config: ColonyConfig, rng: np.random.Generator, verbose: bool = False):
+    """Play one colony round after round, yielding (record, winner) each round.
 
-    `continue_rounds` keeps the run going past first convergence, recording
-    the winner seen each extra round in trace.post_winners.
+    `winner` is the cohort's convergence nest after the round, or None.
+    Agreement and round caps are the caller's to act on: the generator ends
+    only when `world.validate` rejects a round's requests.
     """
-    cohort = make_cohort(config)
+    cohort = (OptimalCohort if config.algorithm == "optimal" else SimpleCohort)(config)
     world = WorldState(config.n, config.k)
-    trace = Trace()
-    converged_at = None
-    win = None
-    reason = "round_cap"
-
-    r = 0
-    while True:
-        r += 1
-        if converged_at is None and r > config.max_rounds:
-            break
+    for r in count(1):
         kind, b, target = cohort.emit(r, rng)
         if validate(world, kind, target) is not None:
-            reason = "precondition_violation"
-            break
+            return
         res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rng)
         cohort.absorb(r, res_nest, res_count, led)
         rec = {
@@ -147,26 +125,23 @@ def run(
         }
         if verbose:
             rec["locations"] = world.location.tolist()
-        trace.append(rec)
+        yield rec, cohort.convergence_nest()
 
-        w = cohort.convergence_nest()
-        if w is not None and converged_at is None:
-            converged_at = r
-            win = w
-            reason = "converged"
-            if config.quality(w) != 1:
-                raise EngineError(f"converged to unsuitable nest {w}")
-        if converged_at is not None:
-            if r > converged_at:
-                trace.post_winners.append(w)
-            if r >= converged_at + continue_rounds:
-                break
 
-    report = ConvergenceReport(
-        converged=converged_at is not None,
-        winning_nest=win,
-        rounds_to_converge=converged_at,
-        reason=reason,
-    )
-    return trace, report
+def run(config: ColonyConfig, rng: np.random.Generator, verbose: bool = False):
+    """Play one seeded run to its stopping time; returns (Trace, ConvergenceReport).
 
+    The run stops at the first round with a winner ("converged"), after
+    `config.max_rounds` rounds ("round_cap"), or at a round whose requests
+    break the primitive contract ("precondition_violation").
+    """
+    trace = Trace([])
+    for rec, winner in islice(rounds(config, rng, verbose), config.max_rounds):
+        trace.records.append(rec)
+        if winner is not None:
+            if config.quality(winner) != 1:
+                raise EngineError(f"converged to unsuitable nest {winner}")
+            return trace, ConvergenceReport(True, winner, rec["round"], "converged")
+    capped = len(trace.records) == config.max_rounds
+    reason = "round_cap" if capped else "precondition_violation"
+    return trace, ConvergenceReport(False, None, None, reason)

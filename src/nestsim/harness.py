@@ -123,10 +123,16 @@ def csv_to_rows(text: str) -> list:
     if header != COLUMNS:
         raise FitError(f"unexpected CSV columns {header}")
     parse = [_PARSE[f.type] for f in fields(SummaryRow)]
-    return [
-        SummaryRow(*(p(raw) for p, raw in zip(parse, ln.split(","))))
-        for ln in lines[1:]
-    ]
+    rows = []
+    for ln in lines[1:]:
+        values = ln.split(",")
+        try:
+            if len(values) != len(parse):
+                raise ValueError(f"{len(values)} values, need {len(parse)}")
+            rows.append(SummaryRow(*(p(raw) for p, raw in zip(parse, values))))
+        except ValueError as exc:
+            raise FitError(f"bad CSV row {ln!r}: {exc}") from None
+    return rows
 
 
 def fit_scaling(rows, model: str):

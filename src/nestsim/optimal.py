@@ -31,8 +31,6 @@ def subround(r: int) -> int:
 class OptimalCohort:
     """All n ants' states as parallel arrays."""
 
-    algorithm = "optimal"
-
     def __init__(self, config):
         n = config.n
         self.config = config

@@ -26,8 +26,6 @@ class SimpleCohort:
     ant-index order over the currently active ants.
     """
 
-    algorithm = "simple"
-
     def __init__(self, config):
         n = config.n
         self.config = config

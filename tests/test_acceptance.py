@@ -12,7 +12,7 @@ import numpy as np
 
 from nestsim import harness
 from nestsim.config import ColonyConfig
-from nestsim.engine import run, stream_from_key
+from nestsim.engine import rounds, run, stream_from_key
 from nestsim.lemmas import (
     ScenarioSpec,
     dropout_time,
@@ -175,16 +175,15 @@ def test_acceptance_06_correctness_both_algorithms():
                     n=256, k=4, qualities=qualities,
                     algorithm=algorithm,
                 )
-                trace, report = run(
-                    config,
-                    rng=stream_from_key(606, ai, pi, t),
-                    continue_rounds=20,
-                )
-                if not report.converged:
+                play = rounds(config, stream_from_key(606, ai, pi, t))
+                capped = itertools.islice(play, config.max_rounds)
+                winner = next((w for _, w in capped if w is not None), None)
+                if winner is None:
                     continue
-                if config.quality(report.winning_nest) != 1:
+                if config.quality(winner) != 1:
                     break
-                if any(w != report.winning_nest for w in trace.post_winners):
+                # the same colony plays on: the next 20 rounds keep the winner
+                if [w for _, w in itertools.islice(play, 20)] != [winner] * 20:
                     break
                 converged += 1
             ok &= converged == trials

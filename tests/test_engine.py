@@ -1,3 +1,6 @@
+import warnings
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -45,22 +48,44 @@ def test_counts_sum_to_n(algorithm):
 def test_winner_is_suitable_and_stable(algorithm):
     for seed in range(8):
         config = _config(algorithm, qualities=(1, 0, 1))
-        trace, report = run(
-            config, rng=stream_from_key(seed), continue_rounds=20
-        )
-        assert report.converged
-        assert config.quality(report.winning_nest) == 1
-        assert report.rounds_to_converge <= config.max_rounds
-        assert all(w == report.winning_nest for w in trace.post_winners)
-        assert len(trace.post_winners) == 20
+        play = engine.rounds(config, stream_from_key(seed))
+        capped = islice(play, config.max_rounds)
+        winner = next((w for _, w in capped if w is not None), None)
+        assert winner is not None
+        assert config.quality(winner) == 1
+        # the same colony plays on: the next 20 rounds keep the winner
+        assert [w for _, w in islice(play, 20)] == [winner] * 20
 
 
 def test_round_cap_is_reported():
     config = _config("simple", n=128, max_rounds=3)
-    _, report = run(config, rng=stream_from_key(0))
+    trace, report = run(config, rng=stream_from_key(0))
     assert not report.converged
     assert report.reason == "round_cap"
     assert report.winning_nest is None
+    assert len(trace.records) == config.max_rounds
+
+
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_stop_rule_at_the_round_cap(algorithm):
+    """A run that agrees in round R converges under a cap of R, not of R - 1."""
+    _, report = run(_config(algorithm), rng=stream_from_key(5))
+    last = report.rounds_to_converge
+    trace, at_cap = run(_config(algorithm, max_rounds=last), rng=stream_from_key(5))
+    assert (at_cap.reason, at_cap.rounds_to_converge) == ("converged", last)
+    assert len(trace.records) == last
+    trace, short = run(_config(algorithm, max_rounds=last - 1), rng=stream_from_key(5))
+    assert (short.converged, short.reason) == (False, "round_cap")
+    assert len(trace.records) == last - 1
+
+
+def test_regime_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ColonyConfig(n=64, k=4, qualities=(1, 1, 1, 1), algorithm="optimal")
+    (warning,) = caught
+    assert "exceeds the analyzed regime" in str(warning.message)
+    assert warning.filename == __file__
 
 
 def test_precondition_violation_stops_the_run(monkeypatch):

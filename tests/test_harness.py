@@ -280,6 +280,28 @@ def test_cli_fit_missing_file():
     assert cli.main(["fit", "--csv", "/no/such/file.csv", "--model", "logn"]) == 2
 
 
+_FIT = ["fit", "--model", "logn", "--csv"]
+_CSV = f"{CSV_SCHEMA}\n{','.join(harness.COLUMNS)}\n".encode()
+
+
+# a value that does not parse, a short row, and files that are not UTF-8
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (_FIT, _CSV + b"simple,64,4,10,10,abc,12,12,12,12,12\n"),
+        (_FIT, _CSV + b"simple,64,4\n"),
+        (_FIT, b"\xff\n"),
+        (["run", "--config"], b"n = 32\xff\n"),
+    ],
+    ids=["csv-bad-value", "csv-short-row", "csv-not-utf8", "config-not-utf8"],
+)
+def test_cli_rejects_bad_input_file(argv, data, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert cli.main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_lemma_pass_and_fail_exit_codes(capsys):
     code = cli.main(
         ["lemma", "nest-delta", "--sizes", "8,8", "--trials", "2000", "--seed", "1"]
