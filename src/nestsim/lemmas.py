@@ -8,6 +8,12 @@ below roughly 1e-3 per check.  Two have no margin: recruit-success passes
 on a frequency >= 1/16 and dropout on a within-bound rate >= 0.99.  A mean
 over fewer than 2 usable samples has no standard error (None) and fails.
 All estimators are deterministic given their (spec, seed).
+
+The Monte Carlo estimators play their trials in chunks of at most
+UNION_ANTS ants, one `match_arrays(..., pool=m)` call per chunk and round,
+since a call on a small pool is nearly all fixed overhead.  The chunk size
+is a constant: it fixes the draw order, hence the output, and bounds memory.
+One trial a chunk would draw exactly as one call per trial does.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .matching import match_arrays
 RECRUIT_SUCCESS_BOUND = Fraction(1, 16)
 RETENTION_BOUND = 0.25
 SUM_NEGATIVE_BOUND = Fraction(1, 66)
+# ants in one matcher call; larger unions fall out of cache and get slower
+UNION_ANTS = 1 << 14
 
 
 class ScenarioError(ValueError):
@@ -50,8 +58,7 @@ class ScenarioSpec:
         # an empty group would pass or fail a check on no ants at all
         if any(c < 1 for _, c, _ in groups):
             raise ScenarioError("group counts must be positive")
-        if self.trials < 1:
-            raise ScenarioError("trials must be positive")
+        _check_trials(self.trials)
 
     def pool(self):
         """(active_flags, targets, group_index) arrays for the matcher pool."""
@@ -73,6 +80,17 @@ class EstimateReport:
 
     def to_json(self) -> str:
         return dumps(asdict(self))
+
+
+def _check_trials(trials):
+    if trials < 1:
+        raise ScenarioError("trials must be positive")
+
+
+def _chunks(trials, m):
+    """Trials in each successive chunk for pools of m ants."""
+    per = max(1, UNION_ANTS // m)
+    return [min(per, trials - t) for t in range(0, trials, per)]
 
 
 def _bernoulli_se(p: float, trials: int) -> float:
@@ -103,12 +121,11 @@ def recruit_success_rate(spec: ScenarioSpec) -> EstimateReport:
     designated = int(flags.argmax())
     rng = stream_from_key(spec.seed)
     hits = 0
-    for _ in range(spec.trials):
-        pairs, _returned = match_arrays(flags, targets, rng)
-        for a, b in pairs.tolist():
-            if a == designated and b != designated:
-                hits += 1
-                break
+    for t in _chunks(spec.trials, m):
+        pairs, _returned = match_arrays(np.tile(flags, t), np.tile(targets, t), rng, pool=m)
+        # a recruiter leads at most one ant, so a trial has at most one hit
+        lead = pairs[:, 0]
+        hits += int(np.count_nonzero((lead % m == designated) & (lead != pairs[:, 1])))
     freq = hits / spec.trials
     se = _bernoulli_se(freq, spec.trials)
     bound = float(RECRUIT_SUCCESS_BOUND)
@@ -133,6 +150,7 @@ def ignorance_retention(n: int, trials: int, seed: int) -> EstimateReport:
     """
     if n < 1:
         raise ScenarioError("n must be positive")
+    _check_trials(trials)
     if n == 1:
         return EstimateReport(
             name="ignorance-retention",
@@ -143,35 +161,30 @@ def ignorance_retention(n: int, trials: int, seed: int) -> EstimateReport:
         )
     max_rounds = 40 * max(1, math.ceil(math.log2(n)))
     rng = stream_from_key(seed)
-    ign_start = []
-    ign_end = []
-    rounds_to_full = []
-    for _ in range(trials):
-        informed = np.zeros(n, dtype=bool)
-        informed[0] = True
+    # ignorant ants at the start and at the end of each round, over all trials
+    ignorant = np.zeros((max_rounds, 2), dtype=np.int64)
+    finite = []
+    for t in _chunks(trials, n):
+        # one row per trial not yet fully informed
+        informed = np.zeros((t, n), dtype=bool)
+        informed[:, 0] = True
         r = 0
-        while not informed.all() and r < max_rounds:
+        while informed.size and r < max_rounds:
             r += 1
-            _pairs, returned = match_arrays(informed, np.where(informed, 1, 2), rng)
-            now = informed | (returned == 1)
-            start = int(n - informed.sum())
-            end = int(n - now.sum())
-            if len(ign_start) < r:
-                ign_start.append(0)
-                ign_end.append(0)
-            ign_start[r - 1] += start
-            ign_end[r - 1] += end
-            informed = now
-        rounds_to_full.append(r if informed.all() else math.inf)
+            _pairs, returned = match_arrays(
+                informed.ravel(), np.where(informed, 1, 2).ravel(), rng, pool=n
+            )
+            now = informed | (returned.reshape(informed.shape) == 1)
+            ignorant[r - 1] += informed.size - informed.sum(), now.size - now.sum()
+            done = now.all(axis=1)
+            finite += [r] * int(done.sum())
+            informed = now[~done]
 
     retention = []
     stderr = []
     ok = True
-    for s, e in zip(ign_start, ign_end):
-        if s == 0:
-            retention.append(None)
-            stderr.append(None)
-            continue
+    # a trial still playing has an ignorant ant, so only unplayed rounds hold 0
+    for s, e in ignorant[ignorant[:, 0] > 0].tolist():
         p = e / s
         # margin under the claimed rate itself, so sparse late rounds with
         # an empirical 0 or 1 do not produce a degenerate zero SE
@@ -180,7 +193,6 @@ def ignorance_retention(n: int, trials: int, seed: int) -> EstimateReport:
         stderr.append(se)
         if p < RETENTION_BOUND - 3 * se:
             ok = False
-    finite = [r for r in rounds_to_full if r != math.inf]
     return EstimateReport(
         name="ignorance-retention",
         passed=ok and len(finite) == trials,
@@ -215,15 +227,16 @@ def nest_delta_distribution(spec: ScenarioSpec) -> EstimateReport:
     neg = np.zeros(ngroups, dtype=np.int64)
     zero = np.zeros(ngroups, dtype=np.int64)
     pos = np.zeros(ngroups, dtype=np.int64)
-    for _ in range(spec.trials):
-        pairs, _returned = match_arrays(flags, targets, rng)
+    for t in _chunks(spec.trials, m):
+        pairs, _returned = match_arrays(np.tile(flags, t), np.tile(targets, t), rng, pool=m)
         led = pairs[pairs[:, 0] != pairs[:, 1]]
-        y = np.bincount(gid[led[:, 0]], minlength=ngroups) - np.bincount(
-            gid[led[:, 1]], minlength=ngroups
-        )
-        neg += y < 0
-        zero += y == 0
-        pos += y > 0
+        # each led ant moves from its group to its recruiter's, in its own trial
+        cell = led // m * ngroups + gid[led % m]
+        gain, loss = (np.bincount(c, minlength=t * ngroups) for c in cell.T)
+        y = (gain - loss).reshape(t, ngroups)
+        neg += (y < 0).sum(axis=0)
+        zero += (y == 0).sum(axis=0)
+        pos += (y > 0).sum(axis=0)
 
     t = spec.trials
     estimates, stderr, details = {}, {}, {}
@@ -315,6 +328,7 @@ def initial_gap_expectation(
         )
     if mode != "monte-carlo":
         raise ScenarioError(f"unknown mode {mode!r}")
+    _check_trials(trials)
     rng = stream_from_key(seed)
     counts = rng.multinomial(n, [1.0 / k] * k, size=trials)
     c1 = counts[:, 0].astype(np.float64)
@@ -359,13 +373,15 @@ def _profile_commitments(n: int, k: int, sizes_by_nest: dict) -> np.ndarray:
 def _one_recruit_cycle(commit: np.ndarray, n: int, k: int, rng) -> np.ndarray:
     """One recruitment round of the population-proportional strategy.
 
-    Every ant is active; each leads with probability (its nest population)/n
-    and the matcher reassigns commitments.
+    `commit` holds one trial of n ants per row.  Every ant is active; each
+    leads with probability (its nest's population in its row)/n, and one
+    matcher call reassigns the commitments of every row.
     """
-    counts = np.bincount(commit, minlength=k + 1)
-    p = counts[commit] / n
-    _pairs, returned = match_arrays(rng.random(commit.size) < p, commit, rng)
-    return returned
+    cells = np.arange(len(commit))[:, None] * (k + 1) + commit
+    p = np.bincount(cells.ravel(), minlength=len(commit) * (k + 1))[cells] / n
+    leads = rng.random(commit.shape) < p
+    _pairs, returned = match_arrays(leads.ravel(), commit.ravel(), rng, pool=n)
+    return returned.reshape(commit.shape)
 
 
 def ratio_growth(
@@ -382,6 +398,7 @@ def ratio_growth(
     """
     if len(sizes) != 2:
         raise ScenarioError("sizes must name exactly two nests")
+    _check_trials(trials)
     s1, s2 = int(sizes[0]), int(sizes[1])
     threshold = n / (REGIME_D * k)
     if s1 < threshold or s2 < threshold:
@@ -390,15 +407,14 @@ def ratio_growth(
     eps_before = float(_eps(s1, s2)) if min(s1, s2) > 0 else 0.0
     rng = stream_from_key(seed)
     eps_after = []
-    excluded = 0
-    for _ in range(trials):
-        commit = _one_recruit_cycle(commit0.copy(), n, k, rng)
-        counts = np.bincount(commit, minlength=k + 1)
-        c1, c2 = int(counts[1]), int(counts[2])
-        if c1 == 0 or c2 == 0:
-            excluded += 1
-            continue
-        eps_after.append(float(_eps(c1, c2)))
+    for t in _chunks(trials, n):
+        commit = _one_recruit_cycle(np.tile(commit0, (t, 1)), n, k, rng)
+        c1, c2 = (np.count_nonzero(commit == nest, axis=1) for nest in (1, 2))
+        hi, lo = np.maximum(c1, c2), np.minimum(c1, c2)
+        # (hi - lo) / lo rounds once, as float(_eps(hi, lo)) does
+        eps_after.append((hi - lo)[lo > 0] / lo[lo > 0])
+    eps_after = np.concatenate(eps_after)
+    excluded = trials - eps_after.size
     mean, se, notes = _mean_se(eps_after)
     factor = 1 + 1 / (2 * REGIME_D * k)
     target = factor * eps_before
@@ -432,6 +448,7 @@ def dropout_time(
     runs (checked against a 99% quota).  Rounds are counted as two per
     recruit/assess cycle.
     """
+    _check_trials(trials)
     small = int(seeded_small_nest)
     limit = n / (REGIME_D * k)
     if not 0 <= small <= limit:
@@ -449,22 +466,22 @@ def dropout_time(
     commit0 = _profile_commitments(n, k, {1: small})
     rng = stream_from_key(seed)
     emptied = []
-    deltas = []
-    for _ in range(trials):
-        commit = commit0.copy()
-        cur = small
+    # the per-cycle population changes of a trial sum to its end minus its start
+    change, cycles = -small * trials, 0
+    for t in _chunks(trials, n):
+        # one row per trial whose small nest is not yet empty
+        commit = np.tile(commit0, (t, 1))
         cycle = 0
-        while True:
+        while len(commit):
             cycle += 1
             commit = _one_recruit_cycle(commit, n, k, rng)
-            new = int(np.count_nonzero(commit == 1))
-            deltas.append(new - cur)
-            cur = new
-            if cur == 0:
-                emptied.append(2 * cycle)
-                break
+            cycles += len(commit)
+            left = np.count_nonzero(commit == 1, axis=1)
+            emptied += [2 * cycle] * int(np.count_nonzero(left == 0))
             if 2 * cycle > bound_rounds:
+                change += int(left.sum())
                 break
+            commit = commit[left > 0]
     rate = len(emptied) / trials
     return EstimateReport(
         name="dropout-time",
@@ -474,7 +491,7 @@ def dropout_time(
             "within_bound_rate": rate,
             "dropout_round_median": float(np.median(emptied)) if emptied else None,
             "dropout_round_max": max(emptied) if emptied else None,
-            "mean_population_delta": float(np.mean(deltas)) if deltas else 0.0,
+            "mean_population_delta": change / cycles,
         },
         stderr={"within_bound_rate": _bernoulli_se(rate, trials)},
         bounds={"round_bound": bound_rounds, "quota": 0.99},

@@ -39,6 +39,13 @@ active (numpy 2.4, one core of a shared 2-core Xeon): loop 13 us against
 rounds 34 us at 2 ants, 44 us against 63 us at 64, 100 us against 79 us at
 128, 185 us against 99 us at 256.  The exact outcome distribution that
 the tests hold both against is enumerated in `tests/reference.py`.
+
+`match_arrays(..., pool=m)` resolves len(targets) // m equal pools, laid
+back to back, in one call and pays the fixed cost once: one permutation of
+the whole union, and each caller picks inside its own pool.  No edge joins
+two pools, so the greedy matching of the union is, pool by pool, the greedy
+matching of each pool under the order the union permutation induces on it,
+itself a uniform permutation.  With one pool the draws are a plain call's.
 """
 
 from __future__ import annotations
@@ -107,20 +114,27 @@ def match_parallel(active, targets, perm, picks):
     return recruiter, returned
 
 
-def match_arrays(active, targets, rng):
+def match_arrays(active, targets, rng, pool=None):
     """One recruitment round over parallel pool arrays; the engine fast path.
 
     `active` holds each pool position's recruit flag (bool), `targets` its
     nest.  Returns (pairs, returned) as int64 arrays in pool positions:
     pairs has one (recruiter, recruited) row per led ant, self-pairs
     included, in recruited order; returned holds each position's nest.
+    With `pool`, the arrays hold equal pools of that many ants back to back.
     """
     active = np.asarray(active, dtype=bool)
     targets = np.asarray(targets, dtype=np.int64)
     m = targets.size
+    if pool is None:
+        pool = m
+    elif pool < 1 or m % pool:
+        raise ValueError(f"{m} ants do not split into pools of {pool}")
     perm = rng.permutation(m)
     callers = active.nonzero()[0]
-    draws = rng.integers(0, m, size=callers.size) if callers.size else callers
+    draws = rng.integers(0, pool, size=callers.size) if callers.size else callers
+    if pool < m:
+        draws += callers // pool * pool
     if m < PARALLEL_MIN_POOL:
         # match_core looks up a pick only for an active ant
         picks = dict(zip(callers.tolist(), draws.tolist()))

@@ -65,25 +65,46 @@ def _pool_orbit_reps(m):
     return sorted(reps)
 
 
+def _outcome_codes(recruiter, returned, m):
+    """One integer per trial for its (recruiter row, returned row).
+
+    Shifted by one (nobody, -1, becomes 0) a recruiter row holds 0..m, and a
+    returned row holds nests 1..m, so the 2m values of a trial are the digits
+    of one base-(m+1) number.
+    """
+    digits = np.concatenate((np.asarray(recruiter) + 1, returned), axis=1)
+    return digits @ (m + 1) ** np.arange(2 * m)
+
+
 def test_acceptance_01_matcher_oracle_equivalence():
     draws = 100_000
+    per_call = 4096  # trials resolved by one pooled matcher call
     worst = 0.0
     checked = 0
     for m in range(1, 5):
         for active, targets in _pool_orbit_reps(m):
             calls = [RecruitCall(i, active[i], targets[i]) for i in range(m)]
-            dist = {
-                key: float(p) for key, p in exact_distribution(calls).items()
-            }
+            dist = {}
+            for (pairs, returned), p in exact_distribution(calls).items():
+                recruiter = [-1] * m
+                for a, x in pairs:
+                    recruiter[x] = a
+                row = [[nest for _, nest in returned]]
+                dist[int(_outcome_codes([recruiter], row, m)[0])] = float(p)
             rng = stream_from_key(404, m, checked)
-            freq = {}
-            for _ in range(draws):
-                pairs, returned = match_arrays(list(active), list(targets), rng)
-                key = (
-                    tuple(sorted(map(tuple, pairs.tolist()))),
-                    tuple(enumerate(returned.tolist())),
+            codes = []
+            for start in range(0, draws, per_call):
+                t = min(per_call, draws - start)
+                pairs, returned = match_arrays(
+                    np.tile(active, t), np.tile(targets, t), rng, pool=m
                 )
-                freq[key] = freq.get(key, 0) + 1
+                recruiter = np.full(t * m, -1)
+                recruiter[pairs[:, 1]] = pairs[:, 0] % m
+                codes.append(
+                    _outcome_codes(recruiter.reshape(t, m), returned.reshape(t, m), m)
+                )
+            values, counts = np.unique(np.concatenate(codes), return_counts=True)
+            freq = dict(zip(values.tolist(), counts.tolist()))
             checked += 1
             for key in set(dist) | set(freq):
                 gap = abs(freq.get(key, 0) / draws - dist.get(key, 0.0))

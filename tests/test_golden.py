@@ -8,8 +8,10 @@ a trace or report must parse as strict JSON.  The n = 4096 cases resolve
 their recruitment pools on the matcher's large-pool path, the smaller
 ones on its scalar path.
 
-A change that moves an output on purpose records why in CHANGES.md and
-regenerates the table with
+`SERIAL_GOLDEN` pins the Monte Carlo lemma outputs of one trial a chunk,
+which replay the estimators' older one-call-per-trial draws.  A change that
+moves an output on purpose records why in CHANGES.md and regenerates
+`GOLDEN` with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from nestsim import cli
+from nestsim import cli, lemmas
 from reference import strict_json
 
 
@@ -55,12 +57,12 @@ CASES = {
 }
 
 GOLDEN = {
-    "lemma-dropout": "2bb3d1044b8e8ee52d664a1acaf478b633b2f7c3a1f2cb4dc964b14ae89d4771",
+    "lemma-dropout": "cc1cfc82c3f04d5a69add1f65fbf3fccf90dc8b1743691a1897c7977c99f09d5",
     "lemma-eps-init": "2fc9c784f026b45cd774b4b91ca14f6564ced512ffe34c4d6183a717071eeb9b",
-    "lemma-nest-delta": "8a2916bd8c2539d730f39458998e0758a67c57344370e31b1715c7ca80683108",
-    "lemma-ratio-growth": "63dbb6b725c64e4e92ca477fcaac6121e452b657764f555720cdb86d925a179e",
-    "lemma-recruit-success": "60a2fc9b05a629b51dfec7c420d2f0f13a8cb8c432fb0d0d79d265568ebcad3b",
-    "lemma-retention": "add33fc245449f42a991d0acbee8e66061698babd1cd5661274a14c2749ba852",
+    "lemma-nest-delta": "8c411443f29f771e5cadaac3ed7f4f48cd2a5b1d75cff16087054f6023fb39ad",
+    "lemma-ratio-growth": "74c7954cebea108486cd11c204b158e3270946fabbcc7f407e7a512b038813fe",
+    "lemma-recruit-success": "c0663bfd810a9387bbbada006509b54d7c8d2fe0d48596d1002641d3f2ca82f0",
+    "lemma-retention": "e51dff94973194ba49234a55b029139439c101cf9097d841811f2491b208ac6a",
     "run-optimal-n256-all-good-s1": "d228b841a4424bf43cf97151d72ce3da08a7e06c30fa2d2361d50d2c0a1e9f56",
     "run-optimal-n256-all-good-s2": "d81be3d4871e59055c83595d8e8981bc2e5c6dd7d0b54174e085e9cbbec89653",
     "run-optimal-n256-one-good-s1": "23baa4fab05df443fafb5f1276a364d7cba301cd9822587240c0b8214fbd2206",
@@ -89,6 +91,18 @@ GOLDEN = {
 }
 
 
+# The five Monte Carlo lemma outputs as the estimators wrote them with one
+# matcher call per trial, before they played their trials in chunks.  One
+# trial a chunk must still write them byte for byte.
+SERIAL_GOLDEN = {
+    "lemma-dropout": "2bb3d1044b8e8ee52d664a1acaf478b633b2f7c3a1f2cb4dc964b14ae89d4771",
+    "lemma-nest-delta": "8a2916bd8c2539d730f39458998e0758a67c57344370e31b1715c7ca80683108",
+    "lemma-ratio-growth": "63dbb6b725c64e4e92ca477fcaac6121e452b657764f555720cdb86d925a179e",
+    "lemma-recruit-success": "60a2fc9b05a629b51dfec7c420d2f0f13a8cb8c432fb0d0d79d265568ebcad3b",
+    "lemma-retention": "add33fc245449f42a991d0acbee8e66061698babd1cd5661274a14c2749ba852",
+}
+
+
 def digest(argv, tmp):
     """SHA-256 over one CLI call's exit code and every file it writes."""
     out = Path(tmp) / "out"
@@ -107,6 +121,12 @@ def test_golden_output(name, tmp_path):
         for path in tmp_path.iterdir():
             for line in path.read_text(encoding="utf-8").splitlines():
                 strict_json(line)
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_GOLDEN))
+def test_one_trial_a_chunk_replays_the_serial_output(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(lemmas, "UNION_ANTS", 1)
+    assert digest(CASES[name], tmp_path) == SERIAL_GOLDEN[name]
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nestsim import lemmas
 from nestsim.lemmas import (
     ScenarioError,
     ScenarioSpec,
@@ -181,3 +182,73 @@ def test_estimators_deterministic():
     b = nest_delta_distribution(spec).to_json()
     assert a == b
     assert dropout_time(512, 4, 2, 20, 5).to_json() == dropout_time(512, 4, 2, 20, 5).to_json()
+
+
+@pytest.mark.parametrize(
+    "estimate, args",
+    [
+        (ignorance_retention, (64, 0, 1)),
+        (ignorance_retention, (1, -1, 1)),
+        (ratio_growth, (4096, 2, (2400, 1696), 0, 1)),
+        (dropout_time, (4096, 4, 16, 0, 1)),
+        (dropout_time, (4096, 4, 0, 0, 1)),
+        (initial_gap_expectation, (64, 3, "monte-carlo", 0)),
+    ],
+    ids=["retention", "retention-one-ant", "ratio-growth", "dropout", "dropout-empty",
+         "eps-init"],
+)
+def test_estimators_reject_no_trials(estimate, args):
+    with pytest.raises(ScenarioError, match="trials must be positive"):
+        estimate(*args)
+
+
+def _spy_calls(monkeypatch):
+    """Record (pool, pools, pairs) of every matcher call the estimators make."""
+    calls = []
+    match_arrays = lemmas.match_arrays
+
+    def spy(active, targets, rng, pool=None):
+        pairs, returned = match_arrays(active, targets, rng, pool)
+        calls.append((pool, len(targets) // pool, pairs))
+        return pairs, returned
+
+    monkeypatch.setattr(lemmas, "match_arrays", spy)
+    return calls
+
+
+def _per_trial_pairs(calls):
+    """Each trial's pairs in its own pool positions, in trial order."""
+    for pool, pools, pairs in calls:
+        for t in range(pools):
+            rows = pairs[pairs[:, 1] // pool == t] - t * pool
+            yield rows.tolist()
+
+
+@pytest.mark.parametrize("union_ants", [1, 11, 1 << 14])
+def test_chunked_counts_equal_per_trial_counts(union_ants, monkeypatch):
+    # the array counts over a chunk's pools against the one-trial loops;
+    # 11 ants end each estimator's 1001 trials on a chunk of 1 after chunks
+    # of 5 pools of 2 ants, or of 2 pools of 5
+    monkeypatch.setattr(lemmas, "UNION_ANTS", union_ants)
+    calls = _spy_calls(monkeypatch)
+    spec = ScenarioSpec(((1, 1, 1), (2, 1, 0)), 1_001, 4)
+    report = recruit_success_rate(spec)
+    trials = list(_per_trial_pairs(calls))
+    hits = sum(any(a == 0 and b != 0 for a, b in rows) for rows in trials)
+    assert report.estimates["success_rate"] == hits / spec.trials
+
+    calls.clear()
+    spec = ScenarioSpec(((1, 3, 1), (2, 2, 1)), 1_001, 4)
+    report = nest_delta_distribution(spec)
+    gid = np.array([0, 0, 0, 1, 1])
+    signs = np.zeros((2, 3), dtype=int)
+    for rows in _per_trial_pairs(calls):
+        y = np.zeros(2, dtype=int)
+        for a, b in rows:
+            if a != b:
+                y[gid[a]] += 1
+                y[gid[b]] -= 1
+        signs[np.arange(2), np.sign(y) + 1] += 1
+    for g, nest in enumerate(("nest_1", "nest_2")):
+        est = report.estimates[nest]
+        assert [est["p_neg"], est["p_zero"], est["p_pos"]] == (signs[g] / 1_001).tolist()

@@ -183,28 +183,113 @@ def test_parallel_rounds_equal_match_core(pool):
     assert returned.tolist() == want_returned
 
 
-@pytest.mark.parametrize("m", [1, 2, PARALLEL_MIN_POOL - 1, PARALLEL_MIN_POOL, 5000])
+def _documented_draws(active, targets, seed):
+    """(pairs, returned, next value) of one plain call, replayed by hand: one
+    permutation, then one batch of picks over the active ants in ant-index
+    order, paired by match_core; then the stream's next `random()`."""
+    m = len(targets)
+    replay = stream_from_key(seed)
+    perm = replay.permutation(m).tolist()
+    picks = [-1] * m
+    callers = np.flatnonzero(active).tolist()
+    if callers:
+        for i, v in zip(callers, replay.integers(0, m, size=len(callers))):
+            picks[i] = int(v)
+    recruiter, returned = match_core(active.tolist(), targets.tolist(), perm, picks)
+    pairs = [[recruiter[x], x] for x in range(m) if recruiter[x] != -1]
+    return pairs, returned, replay.random()
+
+
+_SIZES = [1, 2, PARALLEL_MIN_POOL - 1, PARALLEL_MIN_POOL, 5000]
+
+
+def _pool(seed, m):
+    setup = stream_from_key(seed, m)
+    active = setup.random(m) < setup.random()
+    return active, setup.integers(1, 5, size=m)
+
+
+@pytest.mark.parametrize("m", _SIZES)
 def test_match_arrays_replays_documented_draws(m):
-    # one permutation, then one batch of picks over the active ants in
-    # ant-index order; either branch must pair exactly as match_core does
+    # either branch must pair exactly as match_core does
     for seed in range(5):
-        setup = stream_from_key(seed, m)
-        active = setup.random(m) < setup.random()
-        targets = setup.integers(1, 5, size=m)
+        active, targets = _pool(seed, m)
         pairs, returned = match_arrays(active, targets, stream_from_key(seed))
-        replay = stream_from_key(seed)
-        perm = replay.permutation(m).tolist()
-        picks = [-1] * m
-        callers = np.flatnonzero(active).tolist()
-        if callers:
-            for i, v in zip(callers, replay.integers(0, m, size=len(callers))):
-                picks[i] = int(v)
-        recruiter, want_returned = match_core(
-            active.tolist(), targets.tolist(), perm, picks
-        )
+        want_pairs, want_returned, _ = _documented_draws(active, targets, seed)
         assert pairs.dtype == np.int64 and returned.dtype == np.int64
         assert pairs.shape[1] == 2
-        assert pairs.tolist() == [
-            [recruiter[x], x] for x in range(m) if recruiter[x] != -1
-        ]
+        assert pairs.tolist() == want_pairs
         assert returned.tolist() == want_returned
+
+
+@pytest.mark.parametrize("m", _SIZES)
+def test_one_pool_draws_as_a_plain_call(m):
+    # pool=None and a single pool of every ant give the plain call's output
+    # and leave the stream where it leaves it
+    for seed in range(3):
+        active, targets = _pool(seed, m)
+        want_pairs, want_returned, want_next = _documented_draws(active, targets, seed)
+        for pool in (None, m):
+            rng = stream_from_key(seed)
+            pairs, returned = match_arrays(active, targets, rng, pool=pool)
+            assert pairs.tolist() == want_pairs
+            assert returned.tolist() == want_returned
+            assert rng.random() == want_next
+
+
+@st.composite
+def unions(draw):
+    """(m, pools, seed, share of active ants) for a union of equal pools on
+    either side of the size at which match_arrays switches to parallel rounds."""
+    m = draw(
+        st.one_of(
+            st.integers(1, 6),
+            st.integers(PARALLEL_MIN_POOL - 4, PARALLEL_MIN_POOL + 8),
+        )
+    )
+    pools = draw(st.integers(1, 3 * PARALLEL_MIN_POOL // m))
+    share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    return m, pools, draw(st.integers(0, 2**32 - 1)), share
+
+
+@given(union=unions())
+@example(union=(1, 1, 0, 1.0))
+@example(union=(1, 3 * PARALLEL_MIN_POOL, 0, 0.3))
+@example(union=(3, 5, 0, 0.0))
+@example(union=(4, PARALLEL_MIN_POOL // 4 - 1, 1, 1.0))
+@example(union=(4, PARALLEL_MIN_POOL // 4, 1, 1.0))
+@example(union=(PARALLEL_MIN_POOL, 1, 2, 0.3))
+@settings(max_examples=150, deadline=None)
+def test_pooled_call_equals_match_core_pool_by_pool(union):
+    # the examples: one ant; single ants; nobody active; unions just under
+    # and at PARALLEL_MIN_POOL; one pool on the parallel path
+    m, pools, seed, share = union
+    setup = stream_from_key(seed, m, pools)
+    active = setup.random(m * pools) < share
+    targets = setup.integers(1, 5, size=m * pools)
+    pairs, returned = match_arrays(active, targets, stream_from_key(seed), pool=m)
+
+    replay = stream_from_key(seed)
+    perm = replay.permutation(m * pools).tolist()
+    callers = np.flatnonzero(active)
+    picks = np.full(m * pools, -1)
+    if callers.size:
+        picks[callers] = replay.integers(0, m, size=callers.size)
+    want_pairs, want_returned = [], []
+    for lo in range(0, m * pools, m):
+        # the order the union permutation induces on this pool
+        induced = [a - lo for a in perm if lo <= a < lo + m]
+        recruiter, pool_returned = match_core(
+            active[lo:lo + m].tolist(), targets[lo:lo + m].tolist(),
+            induced, picks[lo:lo + m].tolist(),
+        )
+        want_pairs += [[lo + r, lo + x] for x, r in enumerate(recruiter) if r != -1]
+        want_returned += pool_returned
+    assert pairs.tolist() == want_pairs
+    assert returned.tolist() == want_returned
+
+
+@pytest.mark.parametrize("m, pool", [(10, 3), (4, 0), (4, 8)])
+def test_pool_must_split_the_ants(m, pool):
+    with pytest.raises(ValueError):
+        match_arrays(np.ones(m, dtype=bool), np.ones(m), stream_from_key(0), pool=pool)
