@@ -4,8 +4,12 @@ The engine runs the strategies as array cohorts and resolves a round from
 parallel request arrays.  The tests hold those against the plainer forms
 here: request and result objects, a round resolved from a dict of them,
 each strategy's single-ant transition, the matcher on explicit calls, and
-the matcher's exact outcome distribution on tiny pools.  `strict_json`
-reads the JSON that nestsim writes without accepting what JSON lacks.
+`match_loop`, the sequential greedy pairing one ant at a time.  The
+greedy rounds of `nestsim.matching.match_core` must pair exactly as the
+loop does, and the matcher's exact outcome distribution on tiny pools is
+enumerated with the loop, so that oracle shares no pairing code with the
+program.  `strict_json` reads the JSON that nestsim writes without
+accepting what JSON lacks.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from nestsim.engine import _resolve_arrays
-from nestsim.matching import match_arrays, match_core
+from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
 from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
 
@@ -344,6 +348,31 @@ class MatchOutcome:
         return (self.pairs, tuple(sorted(self.returned.items())))
 
 
+def match_loop(active, targets, perm, picks):
+    """Deterministic pairing given the permutation and per-ant pick values.
+
+    `active`, `targets` are sequences indexed by pool position; `perm` is an
+    iteration order over pool positions; `picks` maps pool position -> chosen
+    pool position (only consulted for active ants).  Returns
+    (recruiter, returned): recruiter[x] is the pool position that led x away
+    (-1 if none, x itself for a self-pair); returned[x] is x's result nest.
+    """
+    m = len(targets)
+    recruiter = [-1] * m
+    has_led = [False] * m
+    for a in perm:
+        if active[a] and recruiter[a] == -1:
+            a2 = picks[a]
+            if not has_led[a2] and recruiter[a2] == -1:
+                has_led[a] = True
+                recruiter[a2] = a
+    returned = [
+        targets[recruiter[x]] if recruiter[x] not in (-1, x) else targets[x]
+        for x in range(m)
+    ]
+    return recruiter, returned
+
+
 def match_round(calls, rng) -> MatchOutcome:
     """Run one recruitment round for a set of RecruitCalls."""
     calls = sorted(calls, key=lambda c: c.ant)
@@ -399,7 +428,7 @@ def exact_distribution(calls) -> dict:
             picks = [-1] * m
             for i, v in zip(active_idx, pick_vec):
                 picks[i] = v
-            recruiter, returned = match_core(active, targets, perm, picks)
+            recruiter, returned = match_loop(active, targets, perm, picks)
             outcome = MatchOutcome(
                 pairs=tuple(
                     sorted(

@@ -1,0 +1,51 @@
+"""What the benchmark's per-layer spans need from nestsim.
+
+`bench/layers.py` wraps nestsim's public names by module and attribute,
+and reports every metric resting on a name it cannot find as missing.
+This test installs those spans as `bench/run.py` does and drives one
+verbose `run`, one small `sweep` and one lemma estimator through
+`cli.main`, so that a rename in `src/` fails here and not only in a traced
+benchmark pass.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from nestsim import cli
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+MODULES = ("cli", "harness", "engine", "lemmas", "matching", "optimal", "simple")
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_span_installs_and_every_metric_reports(tmp_path):
+    layers = _load_layers()
+    ns = {m: importlib.import_module(f"nestsim.{m}") for m in MODULES}
+    spans = layers.Spans()
+    spans.install(ns)
+    try:
+        for name, argv in (
+            ("run", ["run", "--algo", "optimal", "--n", "256", "--k", "4",
+                     "--qualities", "one-good", "--seed", "1", "--verbose-trace"]),
+            ("sweep", ["sweep", "--algo", "simple", "--n", "64", "--k", "2",
+                       "--qualities", "all-good", "--trials", "3", "--seed", "1"]),
+            ("lemma", ["lemma", "recruit-success", "--active", "2",
+                       "--trials", "200", "--seed", "1"]),
+        ):
+            assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+    finally:
+        spans.uninstall()
+    assert spans.missing == set()
+    metrics, missing = layers.layer_metrics(spans)
+    assert missing == []
+    assert set(metrics) == set(layers.PER_LAYER)
+    # the core is reached through the module global, so its span is timed
+    assert spans.count["matching.calls"] > 0
+    assert spans.total["matching.match_core"] > 0

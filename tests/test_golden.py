@@ -4,9 +4,9 @@ Every seeded output of nestsim is meant to be byte-identical from one
 version to the next unless a change says otherwise.  These hashes pin a
 `run` trace and report for both algorithms over small and medium colonies,
 one sweep CSV, and one JSON report per lemma estimator, and every line of
-a trace or report must parse as strict JSON.  The n = 4096 cases resolve
-their recruitment pools on the matcher's large-pool path, the smaller
-ones on its scalar path.
+a trace or report must parse as strict JSON.  The colonies range from
+n = 64 to 4096, so the matcher's greedy rounds are pinned on pools of a
+few ants and of thousands.
 
 `SERIAL_GOLDEN` pins the Monte Carlo lemma outputs of one trial a chunk,
 which replay the estimators' older one-call-per-trial draws.  A change that

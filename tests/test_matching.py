@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestsim.engine import stream_from_key
-from nestsim.matching import PARALLEL_MIN_POOL, match_arrays, match_core, match_parallel
+from nestsim.matching import match_arrays, match_core
 from reference import (
     MatchError,
     MatchOutcome,
     RecruitCall,
     exact_distribution,
+    match_loop,
     match_round,
     success_indicator,
 )
@@ -137,18 +138,13 @@ def test_match_round_deterministic_per_seed():
     assert a == b
 
 
-# --- parallel rounds against the sequential loop ---
+# --- greedy rounds against the sequential loop ---
 
 @st.composite
 def pools(draw):
-    """(active, targets, perm, picks) lists for one pool, on either side of
-    the size at which match_arrays switches to parallel rounds."""
-    m = draw(
-        st.one_of(
-            st.integers(1, 8),
-            st.integers(PARALLEL_MIN_POOL - 4, PARALLEL_MIN_POOL + 64),
-        )
-    )
+    """(active, targets, perm, picks) lists for one pool of a few ants or of
+    over a hundred."""
+    m = draw(st.one_of(st.integers(1, 8), st.integers(120, 200)))
     active = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     targets = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
     perm = draw(st.permutations(range(m)))
@@ -156,7 +152,24 @@ def pools(draw):
     return active, targets, perm, picks
 
 
-_M = PARALLEL_MIN_POOL + 2
+class _Dealt:
+    """A stream stand-in that deals a fixed permutation and fixed picks in
+    the documented order: the permutation, then the active ants' picks."""
+
+    def __init__(self, active, perm, picks):
+        self.perm = np.array(perm, dtype=np.int64)
+        self.draws = np.array(picks, dtype=np.int64)[np.flatnonzero(active)]
+
+    def permutation(self, m):
+        assert m == self.perm.size
+        return self.perm
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, self.perm.size, self.draws.size)
+        return self.draws.copy()
+
+
+_M = 130
 _ALL_ACTIVE = [True] * _M
 _TARGETS = [1 + i % 3 for i in range(_M)]
 _REVERSED = list(range(_M))[::-1]
@@ -168,25 +181,27 @@ _REVERSED = list(range(_M))[::-1]
 @example(pool=(_ALL_ACTIVE, _TARGETS, _REVERSED, list(range(_M))))
 @example(pool=(_ALL_ACTIVE, _TARGETS, _REVERSED, [i ^ 1 for i in range(_M)]))
 @settings(max_examples=150, deadline=None)
-def test_parallel_rounds_equal_match_core(pool):
+def test_match_core_equals_match_loop(pool):
     # the examples: one ant; nobody active; every ant picks itself; every
     # ant picks its partner in a mutual pair a <-> a^1
     active, targets, perm, picks = pool
-    recruiter, returned = match_parallel(
+    recruiter = match_core(
         np.array(active, dtype=bool),
-        np.array(targets, dtype=np.int64),
         np.array(perm, dtype=np.int64),
         np.array(picks, dtype=np.int64),
     )
-    want_recruiter, want_returned = match_core(active, targets, perm, picks)
+    want_recruiter, want_returned = match_loop(active, targets, perm, picks)
     assert recruiter.tolist() == want_recruiter
+    # match_arrays dealt the same draws pairs and returns as the loop does
+    pairs, returned = match_arrays(active, targets, _Dealt(active, perm, picks))
+    assert pairs.tolist() == [[r, x] for x, r in enumerate(want_recruiter) if r != -1]
     assert returned.tolist() == want_returned
 
 
 def _documented_draws(active, targets, seed):
     """(pairs, returned, next value) of one plain call, replayed by hand: one
     permutation, then one batch of picks over the active ants in ant-index
-    order, paired by match_core; then the stream's next `random()`."""
+    order, paired by match_loop; then the stream's next `random()`."""
     m = len(targets)
     replay = stream_from_key(seed)
     perm = replay.permutation(m).tolist()
@@ -195,12 +210,12 @@ def _documented_draws(active, targets, seed):
     if callers:
         for i, v in zip(callers, replay.integers(0, m, size=len(callers))):
             picks[i] = int(v)
-    recruiter, returned = match_core(active.tolist(), targets.tolist(), perm, picks)
+    recruiter, returned = match_loop(active.tolist(), targets.tolist(), perm, picks)
     pairs = [[recruiter[x], x] for x in range(m) if recruiter[x] != -1]
     return pairs, returned, replay.random()
 
 
-_SIZES = [1, 2, PARALLEL_MIN_POOL - 1, PARALLEL_MIN_POOL, 5000]
+_SIZES = [1, 2, 127, 128, 5000]
 
 
 def _pool(seed, m):
@@ -211,7 +226,7 @@ def _pool(seed, m):
 
 @pytest.mark.parametrize("m", _SIZES)
 def test_match_arrays_replays_documented_draws(m):
-    # either branch must pair exactly as match_core does
+    # every pool size must pair exactly as the loop does
     for seed in range(5):
         active, targets = _pool(seed, m)
         pairs, returned = match_arrays(active, targets, stream_from_key(seed))
@@ -239,30 +254,25 @@ def test_one_pool_draws_as_a_plain_call(m):
 
 @st.composite
 def unions(draw):
-    """(m, pools, seed, share of active ants) for a union of equal pools on
-    either side of the size at which match_arrays switches to parallel rounds."""
-    m = draw(
-        st.one_of(
-            st.integers(1, 6),
-            st.integers(PARALLEL_MIN_POOL - 4, PARALLEL_MIN_POOL + 8),
-        )
-    )
-    pools = draw(st.integers(1, 3 * PARALLEL_MIN_POOL // m))
+    """(m, pools, seed, share of active ants) for a union of equal pools of
+    a few ants or of over a hundred, at most 384 ants in all."""
+    m = draw(st.one_of(st.integers(1, 6), st.integers(120, 136)))
+    pools = draw(st.integers(1, 384 // m))
     share = draw(st.sampled_from((0.0, 0.3, 1.0)))
     return m, pools, draw(st.integers(0, 2**32 - 1)), share
 
 
 @given(union=unions())
 @example(union=(1, 1, 0, 1.0))
-@example(union=(1, 3 * PARALLEL_MIN_POOL, 0, 0.3))
+@example(union=(1, 384, 0, 0.3))
 @example(union=(3, 5, 0, 0.0))
-@example(union=(4, PARALLEL_MIN_POOL // 4 - 1, 1, 1.0))
-@example(union=(4, PARALLEL_MIN_POOL // 4, 1, 1.0))
-@example(union=(PARALLEL_MIN_POOL, 1, 2, 0.3))
+@example(union=(4, 31, 1, 1.0))
+@example(union=(4, 32, 1, 1.0))
+@example(union=(128, 1, 2, 0.3))
 @settings(max_examples=150, deadline=None)
-def test_pooled_call_equals_match_core_pool_by_pool(union):
-    # the examples: one ant; single ants; nobody active; unions just under
-    # and at PARALLEL_MIN_POOL; one pool on the parallel path
+def test_pooled_call_equals_match_loop_pool_by_pool(union):
+    # the examples: one ant; single ants; nobody active; unions of 124 and
+    # 128 ants in pools of 4; one pool of 128 ants
     m, pools, seed, share = union
     setup = stream_from_key(seed, m, pools)
     active = setup.random(m * pools) < share
@@ -279,7 +289,7 @@ def test_pooled_call_equals_match_core_pool_by_pool(union):
     for lo in range(0, m * pools, m):
         # the order the union permutation induces on this pool
         induced = [a - lo for a in perm if lo <= a < lo + m]
-        recruiter, pool_returned = match_core(
+        recruiter, pool_returned = match_loop(
             active[lo:lo + m].tolist(), targets[lo:lo + m].tolist(),
             induced, picks[lo:lo + m].tolist(),
         )
