@@ -3,7 +3,8 @@
 Every seeded output of nestsim is meant to be byte-identical from one
 version to the next unless a change says otherwise.  These hashes pin a
 `run` trace and report for both algorithms over small and medium colonies,
-one sweep CSV, and one JSON report per lemma estimator, and every line of
+three sweep CSVs (one with qualities drawn per trial, one with a round cap
+that trials hit), and one JSON report per lemma estimator, and every line of
 a trace or report must parse as strict JSON.  The colonies range from
 n = 64 to 4096, so the matcher's greedy rounds are pinned on pools of a
 few ants and of thousands.
@@ -42,6 +43,14 @@ CASES = {
     },
     "sweep-optimal": ["sweep", "--algo", "optimal", "--n", "64,256", "--k", "2,4",
                       "--qualities", "all-good", "--trials", "8", "--seed", "5"],
+    # nests drawn per trial, and lone ants (n = 1) that never converge
+    "sweep-simple-random": ["sweep", "--algo", "simple", "--n", "1,64,1000",
+                            "--k", "1,2,4", "--qualities", "random:0.5",
+                            "--trials", "6", "--seed", "9"],
+    # a cap some trials hit, so the sweep exits 1
+    "sweep-optimal-capped": ["sweep", "--algo", "optimal", "--n", "16,256",
+                             "--k", "2,4", "--qualities", "one-good", "--trials",
+                             "8", "--seed", "4", "--max-rounds", "40"],
     "lemma-recruit-success": ["lemma", "recruit-success", "--active", "3",
                               "--passive", "2", "--trials", "2000", "--seed", "3"],
     "lemma-retention": ["lemma", "retention", "--n", "256", "--trials", "20",
@@ -88,6 +97,8 @@ GOLDEN = {
     "run-simple-n64-one-good-s1": "df1f55682e5014254517e0ee59541995ab53e47e379c611f9eeaad9ddf39d5f1",
     "run-simple-n64-one-good-s2": "fc132b22147bbba5a64814ee7caacd502d34715723bbdefc767261978a90130f",
     "sweep-optimal": "77b36125de3568b3ccab2ad45d78666fc628a0cb4c4e1f43e6e93f259019c2ac",
+    "sweep-optimal-capped": "f16f9bc7d132f16645f936879869c8dd1c26cda2bccfbda5ff27194d46fa9dbc",
+    "sweep-simple-random": "81f129bd4e8dc8e6351875aa75e71311da456e57af9f56a94e8e4d1d91791d4a",
 }
 
 
