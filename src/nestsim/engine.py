@@ -1,17 +1,24 @@
 """Synchronous round driver.
 
-`rounds` plays a colony.  Each round: collect one request per ant from the
-strategy's cohort as arrays, check them with `world.validate`, place
-searchers on uniform random nests, move go-ers, resolve all recruiters in a
-single matching, compute end-of-round counts, hand the results back to the
-cohort, and ask it for its convergence nest.  A request that breaks the
-primitive contract ends the rounds.  `run` only decides when to stop: at
-the first winner, at the round cap, or when the rounds end.
+`rounds` plays a batch of colonies of one (algorithm, n, k), laid back to
+back in flat arrays of colonies * n ants.  Each round: collect one request
+per ant from the strategy's cohort as arrays, drop every colony with a
+request that breaks the primitive contract (`world.violations`), place
+searchers on uniform random nests, move go-ers, resolve all recruiters in
+a single matching, compute each colony's end-of-round counts, hand the
+results back to the cohort, and ask it for each colony's convergence nest.
+`run` only decides when each colony stops: at its first winner, at its
+round cap, or when its requests break the contract.  A lone run is the
+batch of one colony.
 
-Per-round randomness is consumed in a fixed order so traces replay exactly
-from the seed: (1) the recruit-or-not batch drawn while collecting requests
-(simple algorithm, recruitment rounds), (2) the search-placement batch in
-ant-index order, (3) the matcher's permutation and pick batch.
+Each colony draws from its own stream, and per round in a fixed order, so
+its records and report replay exactly from its seed whatever batch it
+plays in: (1) the recruit-or-not batch over its active ants, drawn while
+collecting requests (simple algorithm, recruitment rounds), (2) the
+search-placement batch over its searchers in ant-index order (round 1),
+(3) when it has recruiters, the matcher's permutation of them and then
+the picks of its active callers.  A colony draws nothing where its batch
+would be empty.
 """
 
 from __future__ import annotations
@@ -19,15 +26,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, compress, count
 
 import numpy as np
 
-from .config import ColonyConfig
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import HOME, K_RECRUIT, K_SEARCH, WorldState, validate
+from .world import (HOME, K_RECRUIT, K_SEARCH, WorldState, colony_slots,
+                    keep_colonies, violations)
 
 
 class EngineError(RuntimeError):
@@ -76,72 +83,110 @@ def stream_from_key(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def _resolve_arrays(world: WorldState, kind, b, target, rng):
+def _resolve_arrays(world: WorldState, kind, b, target, rngs):
     """Apply all moves, run the matcher, compute end-of-round counts.
 
     Returns (res_nest, res_count, counts, led): each ant's result nest and
-    count, the per-nest populations, and whether another ant led it.
-    Visits grow only by searching and by being led: `validate` found every
-    go target visited, and recruiters end the round at the home nest.
+    count, each colony's per-nest populations as a (colonies, k + 1) array,
+    and whether another ant led it.  Visits grow only by searching and by
+    being led: `violations` found every go target visited, and recruiters
+    end the round at the home nest.
     """
+    n, k = world.n, world.k
     res_nest = target.copy()
-    led = np.zeros(world.n, dtype=bool)
-    searchers = np.nonzero(kind == K_SEARCH)[0]
-    res_nest[searchers] = rng.integers(1, world.k + 1, size=searchers.size)
-    world.visited[searchers, res_nest[searchers]] = True
+    led = np.zeros(target.size, dtype=bool)
+    searching = kind == K_SEARCH
+    if searching.any():
+        per = searching.reshape(-1, n).sum(1).tolist()
+        draws = [g.integers(1, k + 1, size=s) for g, s in zip(rngs, per) if s]
+        res_nest[searching] = np.concatenate(draws)
+        world.visited[searching, res_nest[searching]] = True
     recruiting = kind == K_RECRUIT
     rec = np.nonzero(recruiting)[0]
     if rec.size:
-        pairs, returned = match_arrays(b[rec] == 1, target[rec], rng)
+        pools = recruiting.reshape(-1, n).sum(1)
+        pairs, returned = match_arrays(b[rec] == 1, target[rec], rngs, pools)
         res_nest[rec] = returned
         # being led somewhere counts as having been shown the nest
         followers = rec[pairs[pairs[:, 0] != pairs[:, 1], 1]]
         led[followers] = True
         world.visited[followers, res_nest[followers]] = True
     world.location = np.where(recruiting, HOME, res_nest)
-    counts = np.bincount(world.location, minlength=world.k + 1)
-    return res_nest, counts[world.location], counts, led
+    slots = colony_slots(world.location, n, k + 1)
+    counts = np.bincount(slots, minlength=len(rngs) * (k + 1))
+    return res_nest, counts[slots], counts.reshape(-1, k + 1), led
 
 
-def rounds(config: ColonyConfig, rng: np.random.Generator, verbose: bool = False):
-    """Play one colony round after round, yielding (record, winner) each round.
+def rounds(configs, rngs, verbose: bool = False):
+    """Play colonies of one (algorithm, n, k), each on its stream in `rngs`.
 
-    `winner` is the cohort's convergence nest after the round, or None.
-    Agreement and round caps are the caller's to act on: the generator ends
-    only when `world.validate` rejects a round's requests.
+    Each round yields (live, records, winners): the indices into `configs`
+    of the colonies that played it, and each one's record and convergence
+    nest after the round, or None.  `send` a bool mask over `live` to keep
+    only those colonies.  A colony whose requests break the primitive
+    contract leaves without a record for that round; the generator ends
+    when no colony is left.  Agreement and caps are the caller's to act on.
     """
-    cohort = (OptimalCohort if config.algorithm == "optimal" else SimpleCohort)(config)
-    world = WorldState(config.n, config.k)
+    n, k, algorithm = configs[0].n, configs[0].k, configs[0].algorithm
+    if any((c.n, c.k, c.algorithm) != (n, k, algorithm) for c in configs):
+        raise ValueError("a batch needs colonies of one algorithm, n and k")
+    cohort = (OptimalCohort if algorithm == "optimal" else SimpleCohort)(configs)
+    world = WorldState(n, k, len(configs))
+    live, rngs, keep = np.arange(len(configs)), list(rngs), None
     for r in count(1):
-        kind, b, target = cohort.emit(r, rng)
-        if validate(world, kind, target) is not None:
-            return
-        res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rng)
+        kind, b, target = cohort.emit(r, rngs)
+        ok = ~violations(world, kind, target).reshape(-1, n).any(1)
+        if keep is not None:
+            ok &= keep
+        if not ok.all():
+            for obj in (cohort, world):
+                keep_colonies(obj, ok, n)
+            live, rngs = live[ok], list(compress(rngs, ok.tolist()))
+            if not live.size:
+                return
+            ants = np.repeat(ok, n)
+            kind, b, target = kind[ants], b[ants], target[ants]
+        res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rngs)
         cohort.absorb(r, res_nest, res_count, led)
-        rec = {
-            "round": r,
-            "counts": counts.tolist(),
-            "states": cohort.mode_tallies(),
-        }
+        records = [{"round": r, "counts": c, "states": s}
+                   for c, s in zip(counts.tolist(), cohort.mode_tallies())]
         if verbose:
-            rec["locations"] = world.location.tolist()
-        yield rec, cohort.convergence_nest()
+            for rec, loc in zip(records, world.location.reshape(-1, n).tolist()):
+                rec["locations"] = loc
+        keep = yield live, records, cohort.convergence_nest()
 
 
-def run(config: ColonyConfig, rng: np.random.Generator, verbose: bool = False):
-    """Play one seeded run to its stopping time; returns (Trace, ConvergenceReport).
+def run(configs, rngs, verbose: bool = False):
+    """Play seeded colonies to their stopping times; returns (Trace, reports).
 
-    The run stops at the first round with a winner ("converged"), after
-    `config.max_rounds` rounds ("round_cap"), or at a round whose requests
-    break the primitive contract ("precondition_violation").
+    The colonies share (algorithm, n, k) and play as one batch.  Each stops
+    at its first round with a winner ("converged"), after its
+    `max_rounds` rounds ("round_cap"), or at a round whose requests break
+    the primitive contract ("precondition_violation"), and leaves the batch
+    there.  `Trace.records` holds every colony's records, colony after
+    colony; each colony's records and report are those of its lone run.
     """
-    trace = Trace([])
-    for rec, winner in islice(rounds(config, rng, verbose), config.max_rounds):
-        trace.records.append(rec)
-        if winner is not None:
-            if config.quality(winner) != 1:
-                raise EngineError(f"converged to unsuitable nest {winner}")
-            return trace, ConvergenceReport(True, winner, rec["round"], "converged")
-    capped = len(trace.records) == config.max_rounds
-    reason = "round_cap" if capped else "precondition_violation"
-    return trace, ConvergenceReport(False, None, None, reason)
+    played = [[] for _ in configs]
+    reports = [None] * len(configs)
+    play = rounds(configs, rngs, verbose)
+    try:
+        live, records, winners = next(play)
+        while True:
+            keep = []
+            for t, rec, winner in zip(live.tolist(), records, winners):
+                played[t].append(rec)
+                if winner is not None:
+                    if configs[t].quality(winner) != 1:
+                        raise EngineError(f"converged to unsuitable nest {winner}")
+                    reports[t] = ConvergenceReport(True, winner, rec["round"], "converged")
+                elif rec["round"] == configs[t].max_rounds:
+                    reports[t] = ConvergenceReport(False, None, None, "round_cap")
+                keep.append(reports[t] is None)
+            if not any(keep):
+                break
+            live, records, winners = play.send(np.array(keep))
+    except StopIteration:  # the last colonies broke the contract
+        pass
+    reports = [rep or ConvergenceReport(False, None, None, "precondition_violation")
+               for rep in reports]
+    return Trace(list(chain.from_iterable(played))), reports

@@ -4,6 +4,11 @@ A sweep runs a fixed number of seeded trials per cell, summarizes rounds to
 convergence, and emits a versioned CSV.  Trial streams are derived from
 (master seed, n, k, trial index), so cells are independent and the CSV is
 byte-identical across repeated invocations.
+
+A cell plays its trials in chunks of at most `lemmas.UNION_ANTS` ants (at
+least one trial), each chunk one `engine.run` batch.  A trial draws its
+qualities and then every round's draws from its own stream only, so its
+report is byte for byte that of its lone run, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import lemmas
 from .config import ColonyConfig, make_qualities
 from .engine import run, stream_from_key
 
@@ -65,19 +71,14 @@ _PARSE = {"str": str, "int": int, "float": float}
 
 def run_cell(spec: ExperimentSpec, n: int, k: int) -> SummaryRow:
     rounds = []
-    for t in range(spec.trials):
-        rng = stream_from_key(spec.seed, n, k, t)
-        qualities = make_qualities(k, spec.pattern, rng)
-        config = ColonyConfig(
-            n=n,
-            k=k,
-            qualities=qualities,
-            algorithm=spec.algorithm,
-            max_rounds=spec.max_rounds,
-        )
-        _trace, report = run(config, rng=rng)
-        if report.converged:
-            rounds.append(report.rounds_to_converge)
+    chunk = max(1, lemmas.UNION_ANTS // n)
+    for start in range(0, spec.trials, chunk):
+        trials = range(start, min(start + chunk, spec.trials))
+        rngs = [stream_from_key(spec.seed, n, k, t) for t in trials]
+        configs = [ColonyConfig(n, k, make_qualities(k, spec.pattern, rng), spec.algorithm,
+                                spec.max_rounds) for rng in rngs]
+        _trace, reports = run(configs, rngs)
+        rounds += [rep.rounds_to_converge for rep in reports if rep.converged]
     # a cell with no converged trial gets nan statistics and 0 extremes
     arr = np.asarray(rounds or [math.nan], dtype=np.float64)
     return SummaryRow(
@@ -147,12 +148,7 @@ def fit_scaling(rows, model: str):
     rows = [r for r in rows if not math.isnan(r.median_rounds)]
     if len(rows) < 3:
         raise FitError("need at least 3 rows with converged trials")
-    x = np.asarray(
-        [
-            math.log2(r.n) * (r.k if model == "klogn" else 1)
-            for r in rows
-        ]
-    )
+    x = np.asarray([math.log2(r.n) * (r.k if model == "klogn" else 1) for r in rows])
     y = np.asarray([r.median_rounds for r in rows])
     if np.allclose(x, x[0]):
         raise FitError("degenerate design: regressor is constant")

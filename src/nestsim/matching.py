@@ -37,6 +37,11 @@ the whole union, and each caller picks inside its own pool.  No edge joins
 two pools, so the greedy matching of the union is, pool by pool, the greedy
 matching of each pool under the order the union permutation induces on it,
 itself a uniform permutation.  With one pool the draws are a plain call's.
+
+The engine's batches pass a list of streams and the pool sizes instead:
+each nonempty pool draws a lone call's permutation and then its picks
+from its own stream, offset to the pool's start, so the union resolves,
+pool by pool, as each lone call would.
 """
 
 from __future__ import annotations
@@ -87,23 +92,29 @@ def match_arrays(active, targets, rng, pool=None):
     nest.  Returns (pairs, returned) as int64 arrays in pool positions:
     pairs has one (recruiter, recruited) row per led ant, self-pairs
     included, in recruited order; returned holds each position's nest.
-    With `pool`, the arrays hold equal pools of that many ants back to back.
+    With `pool`, the arrays hold equal pools of that many ants back to back;
+    with a list of streams, `pool` lists the sizes of the pools they draw for.
     """
     active = np.asarray(active, dtype=bool)
     targets = np.asarray(targets, dtype=np.int64)
     m = targets.size
-    if pool is None:
-        pool = m
-    elif pool < 1 or m % pool:
-        raise ValueError(f"{m} ants do not split into pools of {pool}")
-    perm = rng.permutation(m)
     callers = active.nonzero()[0]
     picks = np.empty(m, dtype=np.int64)
-    if callers.size:
-        draws = rng.integers(0, pool, size=callers.size)
-        if pool < m:
-            draws += callers // pool * pool
-        picks[callers] = draws
+    if isinstance(rng, list) and len(rng) == 1:  # one pool: a plain call
+        rng, pool = rng[0], None
+    if isinstance(rng, list):
+        perm, picks[callers] = _per_pool_draws(rng, np.asarray(pool), callers)
+    else:
+        if pool is None:
+            pool = m
+        elif pool < 1 or m % pool:
+            raise ValueError(f"{m} ants do not split into pools of {pool}")
+        perm = rng.permutation(m)
+        if callers.size:
+            draws = rng.integers(0, pool, size=callers.size)
+            if pool < m:
+                draws += callers // pool * pool
+            picks[callers] = draws
     recruiter = match_core(active, perm, picks)
     led = (recruiter >= 0).nonzero()[0]
     pairs = np.empty((led.size, 2), dtype=np.int64)
@@ -112,3 +123,16 @@ def match_arrays(active, targets, rng, pool=None):
     returned = targets.copy()
     returned[led] = targets[pairs[:, 0]]
     return pairs, returned
+
+
+def _per_pool_draws(rngs, sizes, callers):
+    """Each pool's permutation and its callers' picks, from its own stream."""
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    owner = np.searchsorted(ends, callers, side="right")
+    calls = np.bincount(owner, minlength=sizes.size).tolist()
+    # a stream's permutation comes before its picks; streams do not interact
+    perms = [g.permutation(m) for g, m in zip(rngs, sizes.tolist()) if m]
+    picks = [g.integers(0, m, size=c) for g, m, c in zip(rngs, sizes.tolist(), calls) if c]
+    perm = np.concatenate(perms) + np.repeat(starts, sizes)
+    return perm, (np.concatenate(picks) + starts[owner] if picks else callers)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH
+from .world import K_GO, K_RECRUIT, K_SEARCH, colony_slots
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -29,12 +29,16 @@ def subround(r: int) -> int:
 
 
 class OptimalCohort:
-    """All n ants' states as parallel arrays."""
+    """All ants' states as parallel arrays, colonies of n ants back to back.
 
-    def __init__(self, config):
-        n = config.n
-        self.config = config
-        self.qual = np.asarray(config.qualities, dtype=np.int64)
+    The blocks are aligned on the round number, which every colony of a
+    batch shares, so one subround holds for the whole batch.
+    """
+
+    def __init__(self, configs):
+        self.n = n = configs[0].n
+        self.qual = np.array([c.qualities for c in configs], dtype=np.int64)
+        n *= len(configs)
         self.mode = np.full(n, SEARCH, dtype=np.int8)
         self.block = np.full(n, SEARCH, dtype=np.int8)
         self.nest = np.zeros(n, dtype=np.int64)
@@ -43,8 +47,8 @@ class OptimalCohort:
         self.nest_t = np.zeros(n, dtype=np.int64)
         self.count_t = np.zeros(n, dtype=np.int64)
 
-    def emit(self, r: int, rng):
-        n = self.config.n
+    def emit(self, r: int, rngs):
+        n = self.nest.size
         kind = np.empty(n, dtype=np.int8)
         b = np.zeros(n, dtype=np.int8)
         target = np.zeros(n, dtype=np.int64)
@@ -80,7 +84,8 @@ class OptimalCohort:
         if r == 1:
             self.nest = res_nest.astype(np.int64)
             self.count = res_count.astype(np.int64)
-            good = self.qual[self.nest - 1] == 1
+            colony = np.arange(self.nest.size) // self.n
+            good = self.qual[colony, self.nest - 1] == 1
             self.mode = np.where(good, ACTIVE, PASSIVE).astype(np.int8)
             return
         sub = subround(r)
@@ -116,13 +121,15 @@ class OptimalCohort:
             self.mode[done] = FINAL
 
     def convergence_nest(self):
-        """Winning nest once every ant is final and committed to it, else None."""
-        if np.all(self.mode == FINAL) and np.all(self.nest == self.nest[0]):
-            return int(self.nest[0])
-        return None
+        """Per colony, its winning nest once every ant is final and committed
+        to it, else None."""
+        nest = self.nest.reshape(-1, self.n)
+        first = nest[:, 0]
+        won = (nest == first[:, None]).all(1)
+        won &= (self.mode.reshape(-1, self.n) == FINAL).all(1)
+        return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
-    def mode_tallies(self) -> dict:
-        return {
-            name: int(np.count_nonzero(self.mode == code))
-            for code, name in MODE_NAMES.items()
-        }
+    def mode_tallies(self) -> list:
+        slots = colony_slots(self.mode, self.n, 4)
+        tallies = np.bincount(slots, minlength=4 * len(self.qual)).reshape(-1, 4)
+        return [dict(zip(MODE_NAMES.values(), row)) for row in tallies.tolist()]

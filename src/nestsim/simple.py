@@ -20,25 +20,26 @@ from .world import K_GO, K_RECRUIT, K_SEARCH
 
 
 class SimpleCohort:
-    """All n ants' states as parallel arrays.
+    """All ants' states as parallel arrays, colonies of n ants back to back.
 
-    Recruit-or-not draws are made as one batch per recruitment round, in
-    ant-index order over the currently active ants.
+    Recruit-or-not draws are made as one batch per colony and recruitment
+    round, from the colony's own stream, in ant-index order over its
+    currently active ants.
     """
 
-    def __init__(self, config):
-        n = config.n
-        self.config = config
-        self.qual = np.asarray(config.qualities, dtype=np.int64)
-        self.active = np.ones(n, dtype=bool)
-        self.nest = np.zeros(n, dtype=np.int64)
-        self.count = np.zeros(n, dtype=np.int64)
+    def __init__(self, configs):
+        self.n = n = configs[0].n
+        self.qual = np.array([c.qualities for c in configs], dtype=np.int64)
+        self.active = np.ones(len(configs) * n, dtype=bool)
+        self.nest = np.zeros(len(configs) * n, dtype=np.int64)
+        self.count = np.zeros(len(configs) * n, dtype=np.int64)
 
-    def emit(self, r: int, rng):
-        n = self.config.n
-        kind = np.empty(n, dtype=np.int8)
-        b = np.zeros(n, dtype=np.int8)
-        target = np.zeros(n, dtype=np.int64)
+    def emit(self, r: int, rngs):
+        n = self.n
+        size = self.nest.size
+        kind = np.empty(size, dtype=np.int8)
+        b = np.zeros(size, dtype=np.int8)
+        target = np.zeros(size, dtype=np.int64)
         if r == 1:
             kind[:] = K_SEARCH
             return kind, b, target
@@ -47,7 +48,8 @@ class SimpleCohort:
             kind[:] = K_RECRUIT
             act = np.nonzero(self.active)[0]
             if act.size:
-                u = rng.random(act.size)
+                per = self.active.reshape(-1, n).sum(1).tolist()
+                u = np.concatenate([g.random(a) for g, a in zip(rngs, per) if a])
                 b[act] = (u < self.count[act] / n).astype(np.int8)
         else:  # assessment round
             kind[:] = K_GO
@@ -57,7 +59,8 @@ class SimpleCohort:
         if r == 1:
             self.nest = res_nest.astype(np.int64)
             self.count = res_count.astype(np.int64)
-            self.active = self.qual[self.nest - 1] == 1
+            colony = np.arange(self.nest.size) // self.n
+            self.active = self.qual[colony, self.nest - 1] == 1
             return
         if r % 2 == 0:
             self.nest[led] = res_nest[led]
@@ -66,15 +69,14 @@ class SimpleCohort:
             self.count[self.active] = res_count[self.active]
 
     def convergence_nest(self):
-        """Winning nest once all ants are active on one suitable nest, else None."""
-        if (
-            np.all(self.active)
-            and np.all(self.nest == self.nest[0])
-            and self.qual[int(self.nest[0]) - 1] == 1
-        ):
-            return int(self.nest[0])
-        return None
+        """Per colony, its winning nest once all its ants are active on one
+        suitable nest, else None."""
+        nest = self.nest.reshape(-1, self.n)
+        first = nest[:, 0]
+        won = self.active.reshape(-1, self.n).all(1) & (nest == first[:, None]).all(1)
+        won &= self.qual[np.arange(first.size), first - 1] == 1
+        return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
-    def mode_tallies(self) -> dict:
-        a = int(np.count_nonzero(self.active))
-        return {"active": a, "passive": self.config.n - a}
+    def mode_tallies(self) -> list:
+        actives = self.active.reshape(-1, self.n).sum(1).tolist()
+        return [{"active": a, "passive": self.n - a} for a in actives]

@@ -3,9 +3,12 @@
 Each round every ant issues exactly one request, given as parallel arrays
 over the ants: a kind (search, go or recruit), a recruit flag and a target
 nest.  Go and Recruit are only valid toward a candidate nest the ant has
-already been led to or located at; `validate` is the one check of that rule.
-Counts returned by the primitives are end-of-round values, computed after
-all location updates of the round.
+already been led to or located at; `violations` is the one check of that
+rule.  Counts returned by the primitives are end-of-round values, computed
+after all location updates of the round.
+
+A batch of colonies of one size lays them back to back: ant i belongs to
+colony i // n.
 """
 
 from __future__ import annotations
@@ -19,30 +22,38 @@ K_SEARCH, K_GO, K_RECRUIT = 0, 1, 2
 
 
 class WorldState:
-    """Locations and visit histories for one run; mutated by a single engine."""
+    """Locations and visit histories of a batch of colonies of n ants each."""
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, n: int, k: int, colonies: int = 1):
         self.n = n
         self.k = k
         # before round 1 every ant is at the home nest
-        self.location = np.zeros(n, dtype=np.int64)
-        self.visited = np.zeros((n, k + 1), dtype=bool)
+        self.location = np.zeros(colonies * n, dtype=np.int64)
+        self.visited = np.zeros((colonies * n, k + 1), dtype=bool)
         self.visited[:, HOME] = True
 
 
-def validate(world: WorldState, kind, target) -> str | None:
-    """First violation among one round's requests, as a message, or None.
+def keep_colonies(obj, keep, n: int):
+    """Keep the colonies flagged in `keep` in every array attribute of `obj`,
+    each per ant or per colony by its length (with n = 1 the two agree)."""
+    ants = np.repeat(keep, n)
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            setattr(obj, name, value[ants if len(value) == ants.size else keep])
+
+
+def colony_slots(values, n: int, width: int):
+    """Each ant's value offset by width times its colony, as bincount slots."""
+    colonies = values.size // n
+    return (values.reshape(colonies, n) + width * np.arange(colonies)[:, None]).ravel()
+
+
+def violations(world: WorldState, kind, target):
+    """Per ant: whether its request breaks the primitive contract.
 
     Search is unconditional.  Go and Recruit need a candidate nest id the
     ant has visited before.
     """
-    moving = kind != K_SEARCH
-    bad_range = moving & ((target < 1) | (target > world.k))
-    if np.any(bad_range):
-        ant = int(np.nonzero(bad_range)[0][0])
-        return f"ant {ant}: target {int(target[ant])} is not a candidate nest"
-    unseen = moving & ~world.visited[np.arange(world.n), target]
-    if np.any(unseen):
-        ant = int(np.nonzero(unseen)[0][0])
-        return f"ant {ant}: has never been at nest {int(target[ant])}"
-    return None
+    candidate = (target >= 1) & (target <= world.k)
+    seen = world.visited[np.arange(kind.size), np.where(candidate, target, HOME)]
+    return (kind != K_SEARCH) & ~(candidate & seen)

@@ -22,10 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from nestsim.engine import _resolve_arrays
+from nestsim.engine import _resolve_arrays, rounds
 from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
-from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
+from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, violations
 
 MAX_EXACT_POOL = 6
 
@@ -37,6 +37,18 @@ def _not_json(token):
 def strict_json(text: str):
     """`json.loads` that rejects the NaN, Infinity and -Infinity tokens."""
     return json.loads(text, parse_constant=_not_json)
+
+
+def validate(world: WorldState, kind, target) -> str | None:
+    """The first request `world.violations` rejects, as a message, or None."""
+    bad = violations(world, kind, target)
+    if not bad.any():
+        return None
+    ant = int(bad.argmax())
+    nest = int(target[ant])
+    if 1 <= nest <= world.k:
+        return f"ant {ant}: has never been at nest {nest}"
+    return f"ant {ant}: target {nest} is not a candidate nest"
 
 
 class PreconditionViolation(RuntimeError):
@@ -110,7 +122,7 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
     violation = validate(world, kind, target)
     if violation is not None:
         raise PreconditionViolation(violation)
-    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, rng)
+    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, [rng])
     out = {}
     for ant, req in requests.items():
         if isinstance(req, Search):
@@ -163,6 +175,34 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
     monkeypatch.setattr(cohort_cls, "emit", recording_emit)
     monkeypatch.setattr(cohort_cls, "absorb", recording_absorb)
     return rounds
+
+
+def play_on(configs, rngs, more: int) -> list:
+    """Each colony's first winner and its winners in the `more` rounds after.
+
+    The colonies play as one `engine.rounds` batch.  A colony leaves it at
+    its round cap without a winner, giving (None, []), or `more` rounds
+    after its first winner.
+    """
+    first, after = [None] * len(configs), [[] for _ in configs]
+    play = rounds(configs, rngs)
+    try:
+        live, records, winners = next(play)
+        while True:
+            keep = []
+            for t, rec, winner in zip(live.tolist(), records, winners):
+                if first[t] is None:
+                    first[t] = winner
+                else:
+                    after[t].append(winner)
+                capped = first[t] is None and rec["round"] == configs[t].max_rounds
+                keep.append(not capped and (first[t] is None or len(after[t]) < more))
+            if not any(keep):
+                break
+            live, records, winners = play.send(np.array(keep))
+    except StopIteration:
+        pass
+    return list(zip(first, after))
 
 
 # --- optimal: one ant's drop-out strategy ---

@@ -12,7 +12,7 @@ import numpy as np
 
 from nestsim import harness
 from nestsim.config import ColonyConfig
-from nestsim.engine import rounds, run, stream_from_key
+from nestsim.engine import run, stream_from_key
 from nestsim.lemmas import (
     ScenarioSpec,
     dropout_time,
@@ -22,7 +22,7 @@ from nestsim.lemmas import (
     recruit_success_rate,
 )
 from nestsim.matching import match_arrays
-from reference import RecruitCall, exact_distribution
+from reference import RecruitCall, exact_distribution, play_on
 
 
 def _report(num, name, ok, detail=""):
@@ -190,21 +190,24 @@ def test_acceptance_06_correctness_both_algorithms():
     details = []
     for ai, algorithm in enumerate(("optimal", "simple")):
         for pi, qualities in enumerate(((1, 0, 0, 0), (1, 1, 1, 1))):
+            config = ColonyConfig(
+                n=256, k=4, qualities=qualities,
+                algorithm=algorithm,
+            )
+            # the group's trials play as one batch, each on its own stream
+            outcomes = play_on(
+                [config] * trials,
+                [stream_from_key(606, ai, pi, t) for t in range(trials)],
+                20,
+            )
             converged = 0
-            for t in range(trials):
-                config = ColonyConfig(
-                    n=256, k=4, qualities=qualities,
-                    algorithm=algorithm,
-                )
-                play = rounds(config, stream_from_key(606, ai, pi, t))
-                capped = itertools.islice(play, config.max_rounds)
-                winner = next((w for _, w in capped if w is not None), None)
+            for winner, later in outcomes:
                 if winner is None:
                     continue
                 if config.quality(winner) != 1:
                     break
                 # the same colony plays on: the next 20 rounds keep the winner
-                if [w for _, w in itertools.islice(play, 20)] != [winner] * 20:
+                if later != [winner] * 20:
                     break
                 converged += 1
             ok &= converged == trials
@@ -290,8 +293,8 @@ def test_acceptance_11_determinism():
     config = ColonyConfig(
         n=256, k=4, qualities=(1, 0, 0, 0), algorithm="simple"
     )
-    t1, r1 = run(config, rng=stream_from_key(111), verbose=True)
-    t2, r2 = run(config, rng=stream_from_key(111), verbose=True)
+    t1, (r1,) = run([config], [stream_from_key(111)], verbose=True)
+    t2, (r2,) = run([config], [stream_from_key(111)], verbose=True)
     runs_ok = t1.to_jsonl() == t2.to_jsonl() and r1.to_json() == r2.to_json()
     spec = harness.ExperimentSpec("optimal", (64, 128), (2,), "all-good", 20, 1111)
     csv_ok = harness.rows_to_csv(harness.sweep(spec)) == harness.rows_to_csv(

@@ -13,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 from nestsim import cli
+from nestsim.config import ColonyConfig, make_qualities
+from nestsim.engine import run, stream_from_key
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 MODULES = ("cli", "harness", "engine", "lemmas", "matching", "optimal", "simple")
@@ -49,3 +51,27 @@ def test_every_span_installs_and_every_metric_reports(tmp_path):
     # the core is reached through the module global, so its span is timed
     assert spans.count["matching.calls"] > 0
     assert spans.total["matching.match_core"] > 0
+
+
+def test_sweep_spans_count_colony_rounds_and_one_call_a_round(tmp_path):
+    """A one-chunk sweep counts the rounds its trials play alone, and makes
+    at most one matcher call a round of its longest trial."""
+    n, k, trials, seed = 64, 2, 5, 1
+    lone = []
+    for t in range(trials):
+        rng = stream_from_key(seed, n, k, t)
+        config = ColonyConfig(n=n, k=k, qualities=make_qualities(k, "all-good", rng),
+                              algorithm="simple")
+        trace, _ = run([config], [rng])
+        lone.append(len(trace.records))
+    layers = _load_layers()
+    spans = layers.Spans()
+    spans.install({m: importlib.import_module(f"nestsim.{m}") for m in MODULES})
+    try:
+        argv = ["sweep", "--algo", "simple", "--n", str(n), "--k", str(k),
+                "--qualities", "all-good", "--trials", str(trials), "--seed", str(seed)]
+        assert cli.main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+    finally:
+        spans.uninstall()
+    assert spans.count["engine.rounds"] == sum(lone)
+    assert 0 < spans.count["matching.calls"] <= max(lone)

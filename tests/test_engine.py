@@ -1,5 +1,4 @@
 import warnings
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from reference import (
     RecruitResult,
     Search,
     SearchResult,
+    play_on,
     resolve_round,
 )
 
@@ -30,8 +30,8 @@ def _config(algorithm, n=64, k=3, qualities=(1, 1, 0), **kw):
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_trace_is_deterministic(algorithm):
     config = _config(algorithm)
-    t1, r1 = run(config, rng=stream_from_key(11), verbose=True)
-    t2, r2 = run(config, rng=stream_from_key(11), verbose=True)
+    t1, (r1,) = run([config], [stream_from_key(11)], verbose=True)
+    t2, (r2,) = run([config], [stream_from_key(11)], verbose=True)
     assert t1.to_jsonl() == t2.to_jsonl()
     assert r1.to_json() == r2.to_json()
 
@@ -39,27 +39,26 @@ def test_trace_is_deterministic(algorithm):
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_counts_sum_to_n(algorithm):
     config = _config(algorithm)
-    trace, _ = run(config, rng=stream_from_key(3))
+    trace, _ = run([config], [stream_from_key(3)])
     for rec in trace.records:
         assert sum(rec["counts"]) == config.n
 
 
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_winner_is_suitable_and_stable(algorithm):
-    for seed in range(8):
-        config = _config(algorithm, qualities=(1, 0, 1))
-        play = engine.rounds(config, stream_from_key(seed))
-        capped = islice(play, config.max_rounds)
-        winner = next((w for _, w in capped if w is not None), None)
+    config = _config(algorithm, qualities=(1, 0, 1))
+    seeds = range(8)
+    outcomes = play_on([config] * len(seeds), [stream_from_key(s) for s in seeds], 20)
+    for winner, later in outcomes:
         assert winner is not None
         assert config.quality(winner) == 1
         # the same colony plays on: the next 20 rounds keep the winner
-        assert [w for _, w in islice(play, 20)] == [winner] * 20
+        assert later == [winner] * 20
 
 
 def test_round_cap_is_reported():
     config = _config("simple", n=128, max_rounds=3)
-    trace, report = run(config, rng=stream_from_key(0))
+    trace, (report,) = run([config], [stream_from_key(0)])
     assert not report.converged
     assert report.reason == "round_cap"
     assert report.winning_nest is None
@@ -69,12 +68,12 @@ def test_round_cap_is_reported():
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_stop_rule_at_the_round_cap(algorithm):
     """A run that agrees in round R converges under a cap of R, not of R - 1."""
-    _, report = run(_config(algorithm), rng=stream_from_key(5))
+    _, (report,) = run([_config(algorithm)], [stream_from_key(5)])
     last = report.rounds_to_converge
-    trace, at_cap = run(_config(algorithm, max_rounds=last), rng=stream_from_key(5))
+    trace, (at_cap,) = run([_config(algorithm, max_rounds=last)], [stream_from_key(5)])
     assert (at_cap.reason, at_cap.rounds_to_converge) == ("converged", last)
     assert len(trace.records) == last
-    trace, short = run(_config(algorithm, max_rounds=last - 1), rng=stream_from_key(5))
+    trace, (short,) = run([_config(algorithm, max_rounds=last - 1)], [stream_from_key(5)])
     assert (short.converged, short.reason) == (False, "round_cap")
     assert len(trace.records) == last - 1
 
@@ -96,11 +95,11 @@ def test_precondition_violation_stops_the_run(monkeypatch):
         if r == 2:
             # after round 1 ant 0 has been at exactly one candidate nest
             kind[0] = K_GO
-            target[0] = self.nest[0] % self.config.k + 1
+            target[0] = self.nest[0] % self.qual.shape[1] + 1
         return kind, b, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_somewhere_new)
-    trace, report = run(_config("optimal"), rng=stream_from_key(0))
+    trace, (report,) = run([_config("optimal")], [stream_from_key(0)])
     assert not report.converged
     assert report.reason == "precondition_violation"
     assert report.winning_nest is None
@@ -228,7 +227,7 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
         return res_nest, res_count, counts, led
 
     monkeypatch.setattr(engine, "_resolve_arrays", checked)
-    trace, report = run(_config(algorithm, n=n, k=4, qualities=(1, 0, 1, 1)),
-                        rng=stream_from_key(n))
+    trace, (report,) = run([_config(algorithm, n=n, k=4, qualities=(1, 0, 1, 1))],
+                           [stream_from_key(n)])
     assert report.converged
     assert shadow["rounds"] == len(trace.records)

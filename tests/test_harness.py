@@ -1,9 +1,11 @@
+import copy
 import json
 import math
 
 import pytest
 
-from nestsim import cli, harness
+from nestsim import cli, harness, lemmas
+from nestsim.engine import run
 from nestsim.harness import (
     CSV_SCHEMA,
     ExperimentSpec,
@@ -100,6 +102,51 @@ def test_sweep_counts_convergence():
     assert row.converged == row.trials == 10
     assert row.min_rounds <= row.median_rounds <= row.max_rounds
     assert row.p10_rounds <= row.p90_rounds
+
+
+def _per_colony(records):
+    """A batch trace's records split colony by colony; each starts at round 1."""
+    colonies = []
+    for rec in records:
+        if rec["round"] == 1:
+            colonies.append([])
+        colonies[-1].append(rec)
+    return colonies
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1000])
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_batched_trials_replay_their_lone_runs(algorithm, n, monkeypatch):
+    """Each trial of a cell played in chunks is its lone run, byte for byte.
+
+    A budget of 2n ants splits five trials into chunks of 2, 2 and 1, and a
+    cap of 50 rounds is hit by some trials and not by others.
+    """
+    monkeypatch.setattr(lemmas, "UNION_ANTS", 2 * n)
+    chunks = []
+
+    def recording_run(configs, rngs):
+        lone = [run([c], [g], verbose=True) for c, g in zip(configs, copy.deepcopy(rngs))]
+        verbose, _ = run(configs, copy.deepcopy(rngs), verbose=True)
+        trace, reports = run(configs, rngs)
+        chunks.append((configs, trace, reports, verbose, lone))
+        return trace, reports
+
+    monkeypatch.setattr(harness, "run", recording_run)
+    for pattern in ("one-good", "all-good", "random:0.5", "1,0,1"):
+        harness.sweep(ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 7, max_rounds=45))
+    reasons = set()
+    for configs, trace, reports, verbose, lone in chunks:
+        assert len(configs) == len(reports) <= 2
+        assert [rep for _, (rep,) in lone] == reports
+        reasons.update(rep.reason for rep in reports)
+        if len(configs) >= 2:
+            assert _per_colony(verbose.records) == [t.records for t, _ in lone]
+            plain = [[{key: v for key, v in rec.items() if key != "locations"}
+                      for rec in t.records] for t, _ in lone]
+            assert _per_colony(trace.records) == plain
+    assert len(chunks) == 4 * 3
+    assert reasons == {"converged", "round_cap"}
 
 
 def test_spec_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nestsim.engine import stream_from_key
-from nestsim.world import HOME, K_GO, K_RECRUIT, K_SEARCH, WorldState, validate
+from nestsim.world import HOME, K_GO, K_RECRUIT, K_SEARCH, WorldState
 from reference import (
     Go,
     GoResult,
@@ -11,6 +11,7 @@ from reference import (
     RecruitResult,
     Search,
     resolve_round,
+    validate,
 )
 
 
