@@ -16,4 +16,10 @@ __version__ = "0.1.0"
 from .config import ColonyConfig, make_qualities
 from .engine import ConvergenceReport, Trace, run
 
-__all__ = ["ColonyConfig", "make_qualities", "ConvergenceReport", "Trace", "run"]
+__all__ = [
+    "ColonyConfig",
+    "make_qualities",
+    "ConvergenceReport",
+    "Trace",
+    "run",
+]

@@ -72,20 +72,25 @@ def build_parser() -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False, parents=[seeded])
         p.add_argument("--config", help="key=value file of flag values; flags given win")
         p.add_argument("--algo", choices=ALGORITHMS, default="simple")
-        p.add_argument("--qualities", default="one-good",
-                       help="one-good | all-good | random:p | explicit e.g. 1,0,1")
+        p.add_argument(
+            "--qualities",
+            default="one-good",
+            help="one-good | all-good | random:p | explicit e.g. 1,0,1",
+        )
         p.add_argument("--max-rounds", type=int, default=0)
         return p
 
-    p_run = sub.add_parser("run", parents=[colony()],
-                           help="single seeded run, JSONL trace + report")
+    p_run = sub.add_parser(
+        "run", parents=[colony()], help="single seeded run, JSONL trace + report"
+    )
     p_run.add_argument("--n", type=_positive_int, default=256)
     p_run.add_argument("--k", type=_positive_int, default=4)
     p_run.add_argument("--verbose-trace", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", parents=[colony()],
-                             help="trial sweep over (n, k) cells, CSV out")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[colony()], help="trial sweep over (n, k) cells, CSV out"
+    )
     p_sweep.add_argument("--n", type=_int_list, default=(64, 256), metavar="N1,N2,...")
     p_sweep.add_argument("--k", type=_int_list, default=(4,), metavar="K1,K2,...")
     p_sweep.add_argument("--trials", type=_positive_int, default=100)

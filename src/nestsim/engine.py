@@ -33,8 +33,8 @@ import numpy as np
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import (HOME, K_RECRUIT, K_SEARCH, WorldState, colony_slots,
-                    keep_colonies, violations)
+from .world import (HOME, K_RECRUIT, K_SEARCH, WorldState, colony_counts,
+                    colony_slots, keep_colonies, violations)
 
 
 class EngineError(RuntimeError):
@@ -95,16 +95,16 @@ def _resolve_arrays(world: WorldState, kind, b, target, rngs):
     n, k = world.n, world.k
     res_nest = target.copy()
     led = np.zeros(target.size, dtype=bool)
-    searching = kind == K_SEARCH
-    if searching.any():
-        per = searching.reshape(-1, n).sum(1).tolist()
+    searchers = np.nonzero(kind == K_SEARCH)[0]
+    if searchers.size:
+        per = colony_counts(searchers, n, len(rngs)).tolist()
         draws = [g.integers(1, k + 1, size=s) for g, s in zip(rngs, per) if s]
-        res_nest[searching] = np.concatenate(draws)
-        world.visited[searching, res_nest[searching]] = True
+        res_nest[searchers] = np.concatenate(draws)
+        world.visited[searchers, res_nest[searchers]] = True
     recruiting = kind == K_RECRUIT
     rec = np.nonzero(recruiting)[0]
     if rec.size:
-        pools = recruiting.reshape(-1, n).sum(1)
+        pools = colony_counts(rec, n, len(rngs))
         pairs, returned = match_arrays(b[rec] == 1, target[rec], rngs, pools)
         res_nest[rec] = returned
         # being led somewhere counts as having been shown the nest

@@ -148,7 +148,12 @@ def fit_scaling(rows, model: str):
     rows = [r for r in rows if not math.isnan(r.median_rounds)]
     if len(rows) < 3:
         raise FitError("need at least 3 rows with converged trials")
-    x = np.asarray([math.log2(r.n) * (r.k if model == "klogn" else 1) for r in rows])
+    x = np.asarray(
+        [
+            math.log2(r.n) * (r.k if model == "klogn" else 1)
+            for r in rows
+        ]
+    )
     y = np.asarray([r.median_rounds for r in rows])
     if np.allclose(x, x[0]):
         raise FitError("degenerate design: regressor is constant")

@@ -279,8 +279,13 @@ def _eps(a: int, b: int):
     return Fraction(hi, lo) - 1
 
 
-def initial_gap_expectation(n: int, k: int, mode: str = "exact", trials: int = 100_000,
-                            seed: int = 0) -> EstimateReport:
+def initial_gap_expectation(
+    n: int,
+    k: int,
+    mode: str = "exact",
+    trials: int = 100_000,
+    seed: int = 0,
+) -> EstimateReport:
     """Expected relative population gap of a nest pair after the search round.
 
     The claimed floor is 1/(3(n-1)).  Exact mode (k=2, n<=30) enumerates the
@@ -380,7 +385,13 @@ def _one_recruit_cycle(commit: np.ndarray, n: int, k: int, rng) -> np.ndarray:
     return returned.reshape(commit.shape)
 
 
-def ratio_growth(n: int, k: int, sizes: tuple, trials: int, seed: int) -> EstimateReport:
+def ratio_growth(
+    n: int,
+    k: int,
+    sizes: tuple,
+    trials: int,
+    seed: int,
+) -> EstimateReport:
     """Mean relative-gap growth of two large nests over one recruitment round.
 
     Both nests must hold at least n/(dk) ants.  The claimed multiplier is
@@ -424,8 +435,13 @@ def ratio_growth(n: int, k: int, sizes: tuple, trials: int, seed: int) -> Estima
     )
 
 
-def dropout_time(n: int, k: int, seeded_small_nest: int, trials: int,
-                 seed: int) -> EstimateReport:
+def dropout_time(
+    n: int,
+    k: int,
+    seeded_small_nest: int,
+    trials: int,
+    seed: int,
+) -> EstimateReport:
     """Rounds until an initially small nest's population reaches zero.
 
     The small nest starts with at most n/(dk) ants; the claim is that it

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH, colony_slots
+from .world import K_GO, K_RECRUIT, K_SEARCH, colony_tallies
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -125,11 +125,10 @@ class OptimalCohort:
         to it, else None."""
         nest = self.nest.reshape(-1, self.n)
         first = nest[:, 0]
-        won = (nest == first[:, None]).all(1)
-        won &= (self.mode.reshape(-1, self.n) == FINAL).all(1)
+        won = (self.mode.reshape(-1, self.n) == FINAL).all(1)
+        won[won] = (nest[won] == first[won, None]).all(1)
         return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
     def mode_tallies(self) -> list:
-        slots = colony_slots(self.mode, self.n, 4)
-        tallies = np.bincount(slots, minlength=4 * len(self.qual)).reshape(-1, 4)
-        return [dict(zip(MODE_NAMES.values(), row)) for row in tallies.tolist()]
+        tallies = colony_tallies(self.mode, self.n, len(MODE_NAMES))
+        return [dict(zip(MODE_NAMES.values(), row)) for row in tallies]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH
+from .world import K_GO, K_RECRUIT, K_SEARCH, colony_counts, colony_tallies
 
 
 class SimpleCohort:
@@ -48,7 +48,7 @@ class SimpleCohort:
             kind[:] = K_RECRUIT
             act = np.nonzero(self.active)[0]
             if act.size:
-                per = self.active.reshape(-1, n).sum(1).tolist()
+                per = colony_counts(act, n, len(rngs)).tolist()
                 u = np.concatenate([g.random(a) for g, a in zip(rngs, per) if a])
                 b[act] = (u < self.count[act] / n).astype(np.int8)
         else:  # assessment round
@@ -73,10 +73,11 @@ class SimpleCohort:
         suitable nest, else None."""
         nest = self.nest.reshape(-1, self.n)
         first = nest[:, 0]
-        won = self.active.reshape(-1, self.n).all(1) & (nest == first[:, None]).all(1)
+        won = self.active.reshape(-1, self.n).all(1)
+        won[won] = (nest[won] == first[won, None]).all(1)
         won &= self.qual[np.arange(first.size), first - 1] == 1
         return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
     def mode_tallies(self) -> list:
-        actives = self.active.reshape(-1, self.n).sum(1).tolist()
-        return [{"active": a, "passive": self.n - a} for a in actives]
+        tallies = colony_tallies(self.active, self.n, 2)
+        return [{"active": a, "passive": p} for p, a in tallies]

@@ -42,9 +42,24 @@ def keep_colonies(obj, keep, n: int):
             setattr(obj, name, value[ants if len(value) == ants.size else keep])
 
 
+def colony_counts(ants, n: int, colonies: int):
+    """How many of the sorted ant indices `ants` each colony holds."""
+    return np.diff(np.searchsorted(ants, n * np.arange(colonies + 1)))
+
+
+def colony_tallies(values, n: int, width: int) -> list:
+    """Per colony, how many of its ants hold each value 0..width-1."""
+    if values.size == n:  # a lone colony: flat counts beat a bincount
+        return [[int(np.count_nonzero(values == v)) for v in range(width)]]
+    tallies = np.bincount(colony_slots(values, n, width), minlength=values.size // n * width)
+    return tallies.reshape(-1, width).tolist()
+
+
 def colony_slots(values, n: int, width: int):
     """Each ant's value offset by width times its colony, as bincount slots."""
     colonies = values.size // n
+    if colonies == 1:  # a lone colony's values are its slots; spare a pass
+        return values
     return (values.reshape(colonies, n) + width * np.arange(colonies)[:, None]).ravel()
 
 
@@ -55,5 +70,6 @@ def violations(world: WorldState, kind, target):
     ant has visited before.
     """
     candidate = (target >= 1) & (target <= world.k)
-    seen = world.visited[np.arange(kind.size), np.where(candidate, target, HOME)]
+    nest = target if candidate.all() else np.where(candidate, target, HOME)
+    seen = world.visited[np.arange(kind.size), nest]
     return (kind != K_SEARCH) & ~(candidate & seen)
