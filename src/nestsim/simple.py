@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH, colony_counts, colony_tallies
+from .world import K_GO, K_RECRUIT, K_SEARCH, colony_counts
 
 
 class SimpleCohort:
@@ -49,7 +49,9 @@ class SimpleCohort:
             act = np.nonzero(self.active)[0]
             if act.size:
                 per = colony_counts(act, n, len(rngs)).tolist()
-                u = np.concatenate([g.random(a) for g, a in zip(rngs, per) if a])
+                draws = [g.random(a) for g, a in zip(rngs, per) if a]
+                # one colony's draws are used as drawn: a copy costs a fresh array
+                u = draws[0] if len(draws) == 1 else np.concatenate(draws)
                 b[act] = (u < self.count[act] / n).astype(np.int8)
         else:  # assessment round
             kind[:] = K_GO
@@ -79,5 +81,5 @@ class SimpleCohort:
         return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
     def mode_tallies(self) -> list:
-        tallies = colony_tallies(self.active, self.n, 2)
-        return [{"active": a, "passive": p} for p, a in tallies]
+        actives = np.count_nonzero(self.active.reshape(-1, self.n), axis=1).tolist()
+        return [{"active": a, "passive": self.n - a} for a in actives]
