@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from nestsim.engine import _resolve_arrays, rounds
+from nestsim import engine
+from nestsim.engine import _resolve_arrays
 from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
 from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, violations
@@ -185,7 +186,7 @@ def play_on(configs, rngs, more: int) -> list:
     after its first winner.
     """
     first, after = [None] * len(configs), [[] for _ in configs]
-    play = rounds(configs, rngs)
+    play = engine.rounds(configs, rngs)
     try:
         live, records, winners = next(play)
         while True:

@@ -78,6 +78,14 @@ def test_stop_rule_at_the_round_cap(algorithm):
     assert len(trace.records) == last - 1
 
 
+def test_a_batch_needs_one_algorithm_n_and_k():
+    others = (_config("simple"), _config("optimal", n=32),
+              _config("optimal", k=4, qualities=(1, 0, 0, 1)))
+    for other in others:
+        with pytest.raises(ValueError):
+            run([_config("optimal"), other], [stream_from_key(0), stream_from_key(1)])
+
+
 def test_regime_warning_names_the_caller():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
