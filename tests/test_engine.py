@@ -114,6 +114,31 @@ def test_precondition_violation_stops_the_run(monkeypatch):
     assert [rec["round"] for rec in trace.records] == [1]
 
 
+def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
+    """Colonies 0 and 2 break the contract in rounds 2 and 6; each leaves
+    the batch there, and colony 1 plays exactly as it does alone."""
+    config = _config("optimal")
+    lone_trace, (lone,) = run([config], [stream_from_key(1)])
+    emit = OptimalCohort.emit
+
+    def go_nowhere(self, r, rngs):
+        kind, b, target = emit(self, r, rngs)
+        if r in (2, 6):
+            # ant 0 is colony 0's first ant; the last ant is the last colony's
+            ant = 0 if r == 2 else -1
+            kind[ant], target[ant] = K_GO, self.qual.shape[1] + 1
+        return kind, b, target
+
+    monkeypatch.setattr(OptimalCohort, "emit", go_nowhere)
+    trace, reports = run([config] * 3, [stream_from_key(t) for t in range(3)])
+    assert [rep.reason for rep in reports] == [
+        "precondition_violation", lone.reason, "precondition_violation"]
+    assert reports[1] == lone
+    rounds = [rec["round"] for rec in trace.records]
+    assert rounds == [1] + [rec["round"] for rec in lone_trace.records] + [1, 2, 3, 4, 5]
+    assert trace.records[1:1 + len(lone_trace.records)] == lone_trace.records
+
+
 def test_stream_from_key_contract():
     a = stream_from_key(42, 0).random()
     b = stream_from_key(42, 0).random()
