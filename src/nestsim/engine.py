@@ -120,24 +120,23 @@ def _resolve_arrays(world: WorldState, kind, b, target, rngs):
 def rounds(configs, rngs, verbose: bool = False):
     """Play colonies of one (algorithm, n, k), each on its stream in `rngs`.
 
-    Each round yields (live, records, winners): the indices into `configs`
-    of the colonies that played it, and each one's record and convergence
-    nest after the round, or None.  `send` a bool mask over `live` to keep
-    only those colonies.  A colony whose requests break the primitive
-    contract leaves without a record for that round; the generator ends
-    when no colony is left.  Agreement and caps are the caller's to act on.
+    Each round yields (live, records, winners, keep): the indices into
+    `configs` of the colonies that played it, each one's record and
+    convergence nest after the round, or None, and a fresh all-true bool
+    array over `live`; clearing an entry drops that colony.  A colony whose
+    requests break the primitive contract leaves without a record for that
+    round.  The generator ends, playing no further round, once every entry
+    is clear or no colony is left; agreement and caps are the caller's.
     """
     n, k, algorithm = configs[0].n, configs[0].k, configs[0].algorithm
     if any((c.n, c.k, c.algorithm) != (n, k, algorithm) for c in configs):
         raise ValueError("a batch needs colonies of one algorithm, n and k")
     cohort = (OptimalCohort if algorithm == "optimal" else SimpleCohort)(configs)
     world = WorldState(n, k, len(configs))
-    live, rngs, keep = np.arange(len(configs)), list(rngs), None
+    live, rngs, keep = np.arange(len(configs)), list(rngs), True
     for r in count(1):
         kind, b, target = cohort.emit(r, rngs)
-        ok = ~violations(world, kind, target).reshape(-1, n).any(1)
-        if keep is not None:
-            ok &= keep
+        ok = keep & ~violations(world, kind, target).reshape(-1, n).any(1)
         if not ok.all():
             for obj in (cohort, world):
                 keep_colonies(obj, ok, n)
@@ -153,7 +152,10 @@ def rounds(configs, rngs, verbose: bool = False):
         if verbose:
             for rec, loc in zip(records, world.location.reshape(-1, n).tolist()):
                 rec["locations"] = loc
-        keep = yield live, records, cohort.convergence_nest()
+        keep = np.ones(live.size, dtype=bool)
+        yield live, records, cohort.convergence_nest(), keep
+        if not keep.any():
+            return
 
 
 def run(configs, rngs, verbose: bool = False):
@@ -168,25 +170,16 @@ def run(configs, rngs, verbose: bool = False):
     """
     played = [[] for _ in configs]
     reports = [None] * len(configs)
-    play = rounds(configs, rngs, verbose)
-    try:
-        live, records, winners = next(play)
-        while True:
-            keep = []
-            for t, rec, winner in zip(live.tolist(), records, winners):
-                played[t].append(rec)
-                if winner is not None:
-                    if configs[t].quality(winner) != 1:
-                        raise EngineError(f"converged to unsuitable nest {winner}")
-                    reports[t] = ConvergenceReport(True, winner, rec["round"], "converged")
-                elif rec["round"] == configs[t].max_rounds:
-                    reports[t] = ConvergenceReport(False, None, None, "round_cap")
-                keep.append(reports[t] is None)
-            if not any(keep):
-                break
-            live, records, winners = play.send(np.array(keep))
-    except StopIteration:  # the last colonies broke the contract
-        pass
+    for live, records, winners, keep in rounds(configs, rngs, verbose):
+        for t, rec, winner in zip(live.tolist(), records, winners):
+            played[t].append(rec)
+            if winner is not None:
+                if configs[t].quality(winner) != 1:
+                    raise EngineError(f"converged to unsuitable nest {winner}")
+                reports[t] = ConvergenceReport(True, winner, rec["round"], "converged")
+            elif rec["round"] == configs[t].max_rounds:
+                reports[t] = ConvergenceReport(False, None, None, "round_cap")
+        keep[:] = [reports[t] is None for t in live.tolist()]
     reports = [rep or ConvergenceReport(False, None, None, "precondition_violation")
                for rep in reports]
     return Trace(list(chain.from_iterable(played))), reports

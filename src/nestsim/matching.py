@@ -100,8 +100,6 @@ def match_arrays(active, targets, rng, pool=None):
     m = targets.size
     callers = active.nonzero()[0]
     picks = np.empty(m, dtype=np.int64)
-    if isinstance(rng, list) and len(rng) == 1:  # one pool: a plain call
-        rng, pool = rng[0], None
     if isinstance(rng, list):
         perm, picks[callers] = _per_pool_draws(rng, np.asarray(pool), callers)
     else:
@@ -112,9 +110,7 @@ def match_arrays(active, targets, rng, pool=None):
         perm = rng.permutation(m)
         if callers.size:
             draws = rng.integers(0, pool, size=callers.size)
-            if pool < m:
-                draws += callers // pool * pool
-            picks[callers] = draws
+            picks[callers] = draws + callers // pool * pool
     recruiter = match_core(active, perm, picks)
     led = (recruiter >= 0).nonzero()[0]
     pairs = np.empty((led.size, 2), dtype=np.int64)

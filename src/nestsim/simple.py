@@ -49,9 +49,7 @@ class SimpleCohort:
             act = np.nonzero(self.active)[0]
             if act.size:
                 per = colony_counts(act, n, len(rngs)).tolist()
-                draws = [g.random(a) for g, a in zip(rngs, per) if a]
-                # one colony's draws are used as drawn: a copy costs a fresh array
-                u = draws[0] if len(draws) == 1 else np.concatenate(draws)
+                u = np.concatenate([g.random(a) for g, a in zip(rngs, per) if a])
                 b[act] = (u < self.count[act] / n).astype(np.int8)
         else:  # assessment round
             kind[:] = K_GO

@@ -186,23 +186,14 @@ def play_on(configs, rngs, more: int) -> list:
     after its first winner.
     """
     first, after = [None] * len(configs), [[] for _ in configs]
-    play = engine.rounds(configs, rngs)
-    try:
-        live, records, winners = next(play)
-        while True:
-            keep = []
-            for t, rec, winner in zip(live.tolist(), records, winners):
-                if first[t] is None:
-                    first[t] = winner
-                else:
-                    after[t].append(winner)
-                capped = first[t] is None and rec["round"] == configs[t].max_rounds
-                keep.append(not capped and (first[t] is None or len(after[t]) < more))
-            if not any(keep):
-                break
-            live, records, winners = play.send(np.array(keep))
-    except StopIteration:
-        pass
+    for live, records, winners, keep in engine.rounds(configs, rngs):
+        for i, (t, rec, winner) in enumerate(zip(live.tolist(), records, winners)):
+            if first[t] is None:
+                first[t] = winner
+            else:
+                after[t].append(winner)
+            capped = first[t] is None and rec["round"] == configs[t].max_rounds
+            keep[i] = not capped and (first[t] is None or len(after[t]) < more)
     return list(zip(first, after))
 
 

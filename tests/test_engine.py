@@ -5,8 +5,9 @@ import pytest
 
 from nestsim import engine
 from nestsim.config import ColonyConfig
-from nestsim.engine import run, stream_from_key
+from nestsim.engine import EngineError, run, stream_from_key
 from nestsim.optimal import OptimalCohort
+from nestsim.simple import SimpleCohort
 from nestsim.world import K_GO, K_RECRUIT, WorldState
 from reference import (
     Go,
@@ -139,6 +140,64 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
     assert trace.records[1:1 + len(lone_trace.records)] == lone_trace.records
 
 
+COHORTS = {"optimal": OptimalCohort, "simple": SimpleCohort}
+
+
+def _count_emits(monkeypatch, algorithm) -> list:
+    """Record the round of every `emit` call the algorithm's cohort gets."""
+    cohort = COHORTS[algorithm]
+    emit, calls = cohort.emit, []
+
+    def counted(self, r, rngs):
+        calls.append(r)
+        return emit(self, r, rngs)
+
+    monkeypatch.setattr(cohort, "emit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_clearing_every_keep_entry_ends_rounds(algorithm, monkeypatch):
+    """Once every entry of `keep` is clear, `rounds` emits no further round."""
+    calls = _count_emits(monkeypatch, algorithm)
+    played = []
+    for live, records, _winners, keep in engine.rounds(
+            [_config(algorithm)] * 2, [stream_from_key(t) for t in range(2)]):
+        played.append([rec["round"] for rec in records])
+        if len(played) == 3:
+            keep[:] = False
+    assert played == [[1, 1], [2, 2], [3, 3]]
+    assert calls == [1, 2, 3]
+
+
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_clearing_one_keep_entry_drops_only_that_colony(algorithm, monkeypatch):
+    """Colony 1 is dropped after round 3; colonies 0 and 2 play on exactly
+    as they do alone, and the batch plays until the longer of them ends."""
+    configs = [_config(algorithm)] * 3
+    lone = [run([config], [stream_from_key(t)])[0].records
+            for t, config in enumerate(configs)]
+    stop = [len(lone[0]), 3, len(lone[2])]
+    calls = _count_emits(monkeypatch, algorithm)
+    played = [[] for _ in configs]
+    for live, records, _winners, keep in engine.rounds(
+            configs, [stream_from_key(t) for t in range(3)]):
+        for i, (t, rec) in enumerate(zip(live.tolist(), records)):
+            played[t].append(rec)
+            keep[i] = len(played[t]) < stop[t]
+    assert stop[1] < len(lone[1])
+    assert played == [lone[0], lone[1][:3], lone[2]]
+    assert calls == list(range(1, max(stop) + 1))
+
+
+def test_a_winner_on_an_unsuitable_nest_is_an_engine_error(monkeypatch):
+    """Nest 3 has quality 0, so a cohort naming it as the winner is a bug."""
+    monkeypatch.setattr(OptimalCohort, "convergence_nest",
+                        lambda self: [3] * (self.nest.size // self.n))
+    with pytest.raises(EngineError, match="unsuitable nest 3"):
+        run([_config("optimal", qualities=(1, 1, 0))], [stream_from_key(0)])
+
+
 def test_stream_from_key_contract():
     a = stream_from_key(42, 0).random()
     b = stream_from_key(42, 0).random()
@@ -240,8 +299,8 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
 
     Each round every ant has visited where it stands and its result nest,
     and `visited` equals what a write over every ant's location plus every
-    recruiter's result nest gives.  n = 64 pools recruiters below the
-    matcher's parallel threshold and n = 256 at or above it.
+    recruiter's result nest gives.  The two sizes give the matcher pools of
+    up to 64 and up to 256 recruiters.
     """
     resolve = engine._resolve_arrays
     shadow = {"rounds": 0}

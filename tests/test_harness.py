@@ -265,10 +265,14 @@ def test_cli_rejects_bad_seed(name, seed, capsys):
         ["lemma", "nest-delta", "--sizes", "0,0", "--trials", "5"],
         ["lemma", "nest-delta", "--sizes", "8,0", "--trials", "5"],
         ["lemma", "dropout", "--n", "256", "--k", "2", "--small", "-5", "--trials", "2"],
+        ["sweep", "--n", "0", "--k", "2", "--trials", "2"],
+        ["sweep", "--n", "-5", "--k", "2", "--trials", "2"],
+        ["sweep", "--n", "16", "--k", "-1", "--trials", "2"],
     ],
     ids=["random-p-zero", "random-p-abc", "eps-init-exact", "eps-init-mc",
          "ratio-one-size", "ratio-missing-nest", "nest-delta-empty",
-         "nest-delta-empty-cohort", "dropout-negative-small"],
+         "nest-delta-empty-cohort", "dropout-negative-small", "sweep-n-zero",
+         "sweep-n-negative", "sweep-k-negative"],
 )
 def test_cli_rejects_bad_input(argv, capsys):
     assert cli.main(argv) == 2
