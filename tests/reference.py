@@ -8,7 +8,8 @@ each strategy's single-ant transition, the matcher on explicit calls, and
 greedy rounds of `nestsim.matching.match_core` must pair exactly as the
 loop does, and the matcher's exact outcome distribution on tiny pools is
 enumerated with the loop, so that oracle shares no pairing code with the
-program.  `strict_json` reads the JSON that nestsim writes without
+program.  `exact_rounds_law` carries those exact laws through whole rounds
+of a tiny colony.  `strict_json` reads the JSON that nestsim writes without
 accepting what JSON lacks.
 """
 
@@ -17,7 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,7 @@ from nestsim import engine
 from nestsim.engine import _resolve_arrays
 from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
-from nestsim.world import K_GO, K_RECRUIT, K_SEARCH, WorldState, violations
+from nestsim.world import HOME, K_GO, K_RECRUIT, K_SEARCH, WorldState, violations
 
 MAX_EXACT_POOL = 6
 
@@ -475,3 +477,112 @@ def exact_distribution(calls) -> dict:
             dist[key] = dist.get(key, Fraction(0)) + weight
     assert sum(dist.values()) == 1
     return dist
+
+
+# --- exact law of a tiny colony's first winning round ---
+
+def _round_law(requests, k: int, qualities) -> list:
+    """Exact law of one round's results given every ant's request.
+
+    Returns (probability, results) pairs, results[a] being ant a's
+    Search/Go/RecruitResult.  Each searcher lands on 1..k uniformly and
+    independently, and the recruiters form one pool with the matcher's
+    exact law; counts are end-of-round populations.
+    """
+    searchers = [a for a, q in enumerate(requests) if isinstance(q, Search)]
+    calls = [RecruitCall(a, q.active, q.target)
+             for a, q in enumerate(requests) if isinstance(q, Recruit)]
+    matches = exact_distribution(calls) if calls else {((), ()): Fraction(1)}
+    law = []
+    for places in itertools.product(range(1, k + 1), repeat=len(searchers)):
+        placed = dict(zip(searchers, places))
+        loc = [placed.get(a, q.target if isinstance(q, Go) else HOME)
+               for a, q in enumerate(requests)]
+        pop = Counter(loc)
+        for (pairs, returned), p in matches.items():
+            returned = dict(returned)
+            led = {x for a, x in pairs if a != x}
+            results = []
+            for a, q in enumerate(requests):
+                if isinstance(q, Search):
+                    results.append(SearchResult(loc[a], qualities[loc[a] - 1], pop[loc[a]]))
+                elif isinstance(q, Go):
+                    results.append(GoResult(pop[loc[a]]))
+                else:
+                    results.append(RecruitResult(returned[a], pop[HOME], a in led))
+            law.append((p / k ** len(searchers), tuple(results)))
+    return law
+
+
+class _Coin:
+    """A stream stand-in whose every uniform draw is `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _ant_law(algorithm: str, n: int, state, prev) -> list:
+    """One ant's step as (probability, state, request) triples.
+
+    `optimal` steps deterministically.  A `simple` ant leads with
+    probability exactly count/n: the draw 0 leads whenever count > 0, the
+    draw 1 never does, and the two steps differ only in that flag.
+    """
+    if algorithm == "optimal":
+        return [(Fraction(1), *optimal_step(state, prev))]
+    lead, wait = (simple_step(state, prev, n, _Coin(u)) for u in (0.0, 1.0))
+    if lead[1] == wait[1]:
+        return [(Fraction(1), *wait)]
+    p = Fraction(wait[0].count, n)
+    return [(q, *step) for q, step in ((p, lead), (1 - p, wait)) if q]
+
+
+def _winner(algorithm: str, ants, qualities):
+    """The nest the colony has agreed on, as the cohorts decide it, or None."""
+    nests = {s.nest for s in ants}
+    if len(nests) != 1:
+        return None
+    (nest,) = nests
+    if algorithm == "optimal":
+        return nest if all(s.mode == FINAL for s in ants) else None
+    return nest if all(s.active for s in ants) and qualities[nest - 1] == 1 else None
+
+
+def exact_rounds_law(algorithm: str, n: int, k: int, qualities, rounds: int):
+    """Exact law of a lone colony's first winning round, as Fractions.
+
+    Propagates the distribution of the colony's joint per-ant state round
+    by round: each ant steps by `optimal_step` or `simple_step`, and
+    `_round_law` resolves the round's requests.  The model is exchangeable
+    in the ants (uniform search, uniform matcher permutation and picks), so
+    a joint state is kept as the sorted tuple of its ants' states.  Returns
+    (law, tail): law[r - 1] is P(first winner at round r) for r = 1..rounds,
+    and tail is P(no winner by round `rounds`).  Pools stay within
+    `exact_distribution`'s reach only for n <= MAX_EXACT_POOL.
+    """
+    cls = OptimalAntState if algorithm == "optimal" else SimpleAntState
+    start = tuple((astuple(s), q) for _, s, q in
+                  [_ant_law(algorithm, n, cls(), None)[0]] * n)
+    dist, law, round_laws = {start: Fraction(1)}, [], {}
+    for _ in range(rounds):
+        after, won = {}, Fraction(0)
+        for joint, p in dist.items():
+            requests = tuple(q for _, q in joint)
+            if requests not in round_laws:
+                round_laws[requests] = _round_law(requests, k, qualities)
+            for p_res, results in round_laws[requests]:
+                steps = [_ant_law(algorithm, n, cls(*s), res)
+                         for (s, _), res in zip(joint, results)]
+                for branch in itertools.product(*steps):
+                    q = p * p_res * math.prod(b[0] for b in branch)
+                    if _winner(algorithm, [b[1] for b in branch], qualities) is not None:
+                        won += q
+                        continue
+                    key = tuple(sorted(((astuple(s), req) for _, s, req in branch), key=repr))
+                    after[key] = after.get(key, Fraction(0)) + q
+        law.append(won)
+        dist = after
+    return law, sum(dist.values(), Fraction(0))
