@@ -175,7 +175,7 @@ def cmd_run(args) -> int:
         algorithm=args.algo,
         max_rounds=args.max_rounds,
     )
-    trace, (report,) = run([config], [rng], verbose=args.verbose_trace)
+    trace, (report,) = run([config], rng, verbose=args.verbose_trace)
     out = _out_path(args.out, "trace.jsonl")
     _emit(trace.to_jsonl(), out)
     report_path = None if out is None else out.with_suffix(".report.json")

@@ -11,14 +11,14 @@ results back to the cohort, and ask it for each colony's convergence nest.
 round cap, or when its requests break the contract.  A lone run is the
 batch of one colony.
 
-Each colony draws from its own stream, and per round in a fixed order, so
-its records and report replay exactly from its seed whatever batch it
-plays in: (1) the recruit-or-not batch over its active ants, drawn while
-collecting requests (simple algorithm, recruitment rounds), (2) the
-search-placement batch over its searchers in ant-index order (round 1),
-(3) when it has recruiters, the matcher's permutation of them and then
-the picks of its active callers.  A colony draws nothing where its batch
-would be empty.
+A batch draws from one stream, in a fixed order each round, so the whole
+batch replays exactly from its stream: (1) the recruit-or-not batch over
+the active ants of every colony, drawn while collecting requests (simple
+algorithm, recruitment rounds), (2) the search-placement batch over every
+searcher in ant-index order (round 1), (3) when there are recruiters, the
+matcher's permutation of all of them and then the picks of every active
+caller, each inside its own colony.  Each is one call however many
+colonies play, and none is made where its batch would be empty.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain, count
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def stream_from_key(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def _resolve_arrays(world: WorldState, kind, b, target, rngs):
+def _resolve_arrays(world: WorldState, kind, b, target, rng):
     """Apply all moves, run the matcher, compute end-of-round counts.
 
     Returns (res_nest, res_count, counts, led): each ant's result nest and
@@ -93,19 +93,18 @@ def _resolve_arrays(world: WorldState, kind, b, target, rngs):
     end the round at the home nest.
     """
     n, k = world.n, world.k
+    colonies = target.size // n
     res_nest = target.copy()
     led = np.zeros(target.size, dtype=bool)
     searchers = np.nonzero(kind == K_SEARCH)[0]
     if searchers.size:
-        per = colony_counts(searchers, n, len(rngs)).tolist()
-        draws = [g.integers(1, k + 1, size=s) for g, s in zip(rngs, per) if s]
-        res_nest[searchers] = np.concatenate(draws)
+        res_nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
         world.visited[searchers, res_nest[searchers]] = True
     recruiting = kind == K_RECRUIT
     rec = np.nonzero(recruiting)[0]
     if rec.size:
-        pools = colony_counts(rec, n, len(rngs))
-        pairs, returned = match_arrays(b[rec] == 1, target[rec], rngs, pools)
+        pools = colony_counts(rec, n, colonies)
+        pairs, returned = match_arrays(b[rec] == 1, target[rec], rng, pools)
         res_nest[rec] = returned
         # being led somewhere counts as having been shown the nest
         followers = rec[pairs[pairs[:, 0] != pairs[:, 1], 1]]
@@ -113,17 +112,18 @@ def _resolve_arrays(world: WorldState, kind, b, target, rngs):
         world.visited[followers, res_nest[followers]] = True
     world.location = np.where(recruiting, HOME, res_nest)
     slots = colony_slots(world.location, n, k + 1)
-    counts = np.bincount(slots, minlength=len(rngs) * (k + 1))
+    counts = np.bincount(slots, minlength=colonies * (k + 1))
     return res_nest, counts[slots], counts.reshape(-1, k + 1), led
 
 
-def rounds(configs, rngs, verbose: bool = False):
-    """Play colonies of one (algorithm, n, k), each on its stream in `rngs`.
+def rounds(configs, rng, verbose: bool = False):
+    """Play colonies of one (algorithm, n, k) as one batch on the stream `rng`.
 
     Each round yields (live, records, winners, keep): the indices into
     `configs` of the colonies that played it, each one's record and
     convergence nest after the round, or None, and a fresh all-true bool
-    array over `live`; clearing an entry drops that colony.  A colony whose
+    array over `live`; clearing an entry drops that colony before the next
+    round emits or draws anything for it.  A colony whose
     requests break the primitive contract leaves without a record for that
     round.  The generator ends, playing no further round, once every entry
     is clear or no colony is left; agreement and caps are the caller's.
@@ -133,19 +133,19 @@ def rounds(configs, rngs, verbose: bool = False):
         raise ValueError("a batch needs colonies of one algorithm, n and k")
     cohort = (OptimalCohort if algorithm == "optimal" else SimpleCohort)(configs)
     world = WorldState(n, k, len(configs))
-    live, rngs, keep = np.arange(len(configs)), list(rngs), True
+    live = np.arange(len(configs))
     for r in count(1):
-        kind, b, target = cohort.emit(r, rngs)
-        ok = keep & ~violations(world, kind, target).reshape(-1, n).any(1)
+        kind, b, target = cohort.emit(r, rng)
+        ok = ~violations(world, kind, target).reshape(-1, n).any(1)
         if not ok.all():
             for obj in (cohort, world):
                 keep_colonies(obj, ok, n)
-            live, rngs = live[ok], list(compress(rngs, ok.tolist()))
+            live = live[ok]
             if not live.size:
                 return
             ants = np.repeat(ok, n)
             kind, b, target = kind[ants], b[ants], target[ants]
-        res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rngs)
+        res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rng)
         cohort.absorb(r, res_nest, res_count, led)
         records = [{"round": r, "counts": c, "states": s}
                    for c, s in zip(counts.tolist(), cohort.mode_tallies())]
@@ -156,21 +156,26 @@ def rounds(configs, rngs, verbose: bool = False):
         yield live, records, cohort.convergence_nest(), keep
         if not keep.any():
             return
+        if not keep.all():
+            for obj in (cohort, world):
+                keep_colonies(obj, keep, n)
+            live = live[keep]
 
 
-def run(configs, rngs, verbose: bool = False):
-    """Play seeded colonies to their stopping times; returns (Trace, reports).
+def run(configs, rng, verbose: bool = False):
+    """Play colonies to their stopping times on the stream `rng`; returns
+    (Trace, reports).
 
     The colonies share (algorithm, n, k) and play as one batch.  Each stops
     at its first round with a winner ("converged"), after its
     `max_rounds` rounds ("round_cap"), or at a round whose requests break
     the primitive contract ("precondition_violation"), and leaves the batch
     there.  `Trace.records` holds every colony's records, colony after
-    colony; each colony's records and report are those of its lone run.
+    colony.
     """
     played = [[] for _ in configs]
     reports = [None] * len(configs)
-    for live, records, winners, keep in rounds(configs, rngs, verbose):
+    for live, records, winners, keep in rounds(configs, rng, verbose):
         for t, rec, winner in zip(live.tolist(), records, winners):
             played[t].append(rec)
             if winner is not None:

@@ -1,14 +1,14 @@
 """Parameter sweeps over (n, k) cells and scaling-law fits.
 
 A sweep runs a fixed number of seeded trials per cell, summarizes rounds to
-convergence, and emits a versioned CSV.  Trial streams are derived from
-(master seed, n, k, trial index), so cells are independent and the CSV is
+convergence, and emits a versioned CSV.  Each cell draws from one stream,
+derived from (master seed, n, k), so cells are independent and the CSV is
 byte-identical across repeated invocations.
 
-A cell plays its trials in chunks of at most `lemmas.UNION_ANTS` ants (at
-least one trial), each chunk one `engine.run` batch.  A trial draws its
-qualities and then every round's draws from its own stream only, so its
-report is byte for byte that of its lone run, whatever the chunk size.
+A cell draws every trial's qualities first, in trial order, and then
+plays its trials in chunks of at most `lemmas.UNION_ANTS` ants (at least
+one trial), each chunk one `engine.run` batch on the cell's stream.  A
+cell of one trial is the lone run on that stream.
 """
 
 from __future__ import annotations
@@ -72,14 +72,13 @@ _PARSE = {"str": str, "int": int, "float": float}
 
 
 def run_cell(spec: ExperimentSpec, n: int, k: int) -> SummaryRow:
+    rng = stream_from_key(spec.seed, n, k)
+    configs = [ColonyConfig(n, k, make_qualities(k, spec.pattern, rng), spec.algorithm,
+                            spec.max_rounds) for _ in range(spec.trials)]
     rounds = []
     chunk = max(1, lemmas.UNION_ANTS // n)
     for start in range(0, spec.trials, chunk):
-        trials = range(start, min(start + chunk, spec.trials))
-        rngs = [stream_from_key(spec.seed, n, k, t) for t in trials]
-        configs = [ColonyConfig(n, k, make_qualities(k, spec.pattern, rng), spec.algorithm,
-                                spec.max_rounds) for rng in rngs]
-        _trace, reports = run(configs, rngs)
+        _trace, reports = run(configs[start:start + chunk], rng)
         rounds += [rep.rounds_to_converge for rep in reports if rep.converged]
     # a cell with no converged trial gets nan statistics and 0 extremes
     arr = np.asarray(rounds or [math.nan], dtype=np.float64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH, colony_tallies
+from .world import K_GO, K_RECRUIT, K_SEARCH
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -47,7 +47,7 @@ class OptimalCohort:
         self.nest_t = np.zeros(n, dtype=np.int64)
         self.count_t = np.zeros(n, dtype=np.int64)
 
-    def emit(self, r: int, rngs):
+    def emit(self, r: int, rng):
         n = self.nest.size
         kind = np.empty(n, dtype=np.int8)
         b = np.zeros(n, dtype=np.int8)
@@ -130,5 +130,6 @@ class OptimalCohort:
         return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
     def mode_tallies(self) -> list:
-        tallies = colony_tallies(self.mode, self.n, len(MODE_NAMES))
-        return [dict(zip(MODE_NAMES.values(), row)) for row in tallies]
+        mode = self.mode.reshape(-1, self.n)
+        tallies = [np.count_nonzero(mode == m, axis=1).tolist() for m in MODE_NAMES]
+        return [dict(zip(MODE_NAMES.values(), row)) for row in zip(*tallies)]

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH, colony_counts
+from .world import K_GO, K_RECRUIT, K_SEARCH
 
 
 class SimpleCohort:
     """All ants' states as parallel arrays, colonies of n ants back to back.
 
-    Recruit-or-not draws are made as one batch per colony and recruitment
-    round, from the colony's own stream, in ant-index order over its
-    currently active ants.
+    Recruit-or-not draws are made as one batch per recruitment round, over
+    the currently active ants of every colony in ant-index order.
     """
 
     def __init__(self, configs):
@@ -34,7 +33,7 @@ class SimpleCohort:
         self.nest = np.zeros(len(configs) * n, dtype=np.int64)
         self.count = np.zeros(len(configs) * n, dtype=np.int64)
 
-    def emit(self, r: int, rngs):
+    def emit(self, r: int, rng):
         n = self.n
         size = self.nest.size
         kind = np.empty(size, dtype=np.int8)
@@ -48,9 +47,7 @@ class SimpleCohort:
             kind[:] = K_RECRUIT
             act = np.nonzero(self.active)[0]
             if act.size:
-                per = colony_counts(act, n, len(rngs)).tolist()
-                u = np.concatenate([g.random(a) for g, a in zip(rngs, per) if a])
-                b[act] = (u < self.count[act] / n).astype(np.int8)
+                b[act] = (rng.random(act.size) < self.count[act] / n).astype(np.int8)
         else:  # assessment round
             kind[:] = K_GO
         return kind, b, target

@@ -47,12 +47,6 @@ def colony_counts(ants, n: int, colonies: int):
     return np.diff(np.searchsorted(ants, n * np.arange(colonies + 1)))
 
 
-def colony_tallies(values, n: int, width: int) -> list:
-    """Per colony, how many of its ants hold each value 0..width-1."""
-    tallies = np.bincount(colony_slots(values, n, width), minlength=values.size // n * width)
-    return tallies.reshape(-1, width).tolist()
-
-
 def colony_slots(values, n: int, width: int):
     """Each ant's value offset by width times its colony, as bincount slots."""
     colonies = values.size // n

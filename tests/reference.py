@@ -125,7 +125,7 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
     violation = validate(world, kind, target)
     if violation is not None:
         raise PreconditionViolation(violation)
-    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, [rng])
+    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, rng)
     out = {}
     for ant, req in requests.items():
         if isinstance(req, Search):
@@ -180,15 +180,15 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
     return rounds
 
 
-def play_on(configs, rngs, more: int) -> list:
+def play_on(configs, rng, more: int) -> list:
     """Each colony's first winner and its winners in the `more` rounds after.
 
-    The colonies play as one `engine.rounds` batch.  A colony leaves it at
+    The colonies play as one `engine.rounds` batch on the stream `rng`.  A colony leaves it at
     its round cap without a winner, giving (None, []), or `more` rounds
     after its first winner.
     """
     first, after = [None] * len(configs), [[] for _ in configs]
-    for live, records, winners, keep in engine.rounds(configs, rngs):
+    for live, records, winners, keep in engine.rounds(configs, rng):
         for i, (t, rec, winner) in enumerate(zip(live.tolist(), records, winners)):
             if first[t] is None:
                 first[t] = winner
@@ -540,15 +540,13 @@ def _ant_law(algorithm: str, n: int, state, prev) -> list:
     return [(q, *step) for q, step in ((p, lead), (1 - p, wait)) if q]
 
 
-def _winner(algorithm: str, ants, qualities):
-    """The nest the colony has agreed on, as the cohorts decide it, or None."""
-    nests = {s.nest for s in ants}
-    if len(nests) != 1:
-        return None
-    (nest,) = nests
+def _agreed(algorithm: str, ants, qualities) -> bool:
+    """Whether the colony has a winner, as the cohorts decide it."""
+    if len({s.nest for s in ants}) != 1:
+        return False
     if algorithm == "optimal":
-        return nest if all(s.mode == FINAL for s in ants) else None
-    return nest if all(s.active for s in ants) and qualities[nest - 1] == 1 else None
+        return all(s.mode == FINAL for s in ants)
+    return all(s.active for s in ants) and qualities[ants[0].nest - 1] == 1
 
 
 def exact_rounds_law(algorithm: str, n: int, k: int, qualities, rounds: int):
@@ -564,9 +562,8 @@ def exact_rounds_law(algorithm: str, n: int, k: int, qualities, rounds: int):
     `exact_distribution`'s reach only for n <= MAX_EXACT_POOL.
     """
     cls = OptimalAntState if algorithm == "optimal" else SimpleAntState
-    start = tuple((astuple(s), q) for _, s, q in
-                  [_ant_law(algorithm, n, cls(), None)[0]] * n)
-    dist, law, round_laws = {start: Fraction(1)}, [], {}
+    ((_, ant, request),) = _ant_law(algorithm, n, cls(), None)
+    dist, law, round_laws = {((astuple(ant), request),) * n: Fraction(1)}, [], {}
     for _ in range(rounds):
         after, won = {}, Fraction(0)
         for joint, p in dist.items():
@@ -578,7 +575,7 @@ def exact_rounds_law(algorithm: str, n: int, k: int, qualities, rounds: int):
                          for (s, _), res in zip(joint, results)]
                 for branch in itertools.product(*steps):
                     q = p * p_res * math.prod(b[0] for b in branch)
-                    if _winner(algorithm, [b[1] for b in branch], qualities) is not None:
+                    if _agreed(algorithm, [b[1] for b in branch], qualities):
                         won += q
                         continue
                     key = tuple(sorted(((astuple(s), req) for _, s, req in branch), key=repr))

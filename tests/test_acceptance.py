@@ -194,12 +194,8 @@ def test_acceptance_06_correctness_both_algorithms():
                 n=256, k=4, qualities=qualities,
                 algorithm=algorithm,
             )
-            # the group's trials play as one batch, each on its own stream
-            outcomes = play_on(
-                [config] * trials,
-                [stream_from_key(606, ai, pi, t) for t in range(trials)],
-                20,
-            )
+            # the group's trials play as one batch on one stream
+            outcomes = play_on([config] * trials, stream_from_key(606, ai, pi), 20)
             converged = 0
             for winner, later in outcomes:
                 if winner is None:
@@ -293,8 +289,8 @@ def test_acceptance_11_determinism():
     config = ColonyConfig(
         n=256, k=4, qualities=(1, 0, 0, 0), algorithm="simple"
     )
-    t1, (r1,) = run([config], [stream_from_key(111)], verbose=True)
-    t2, (r2,) = run([config], [stream_from_key(111)], verbose=True)
+    t1, (r1,) = run([config], stream_from_key(111), verbose=True)
+    t2, (r2,) = run([config], stream_from_key(111), verbose=True)
     runs_ok = t1.to_jsonl() == t2.to_jsonl() and r1.to_json() == r2.to_json()
     spec = harness.ExperimentSpec("optimal", (64, 128), (2,), "all-good", 20, 1111)
     csv_ok = harness.rows_to_csv(harness.sweep(spec)) == harness.rows_to_csv(

@@ -54,16 +54,15 @@ def test_every_span_installs_and_every_metric_reports(tmp_path):
 
 
 def test_sweep_spans_count_colony_rounds_and_one_call_a_round(tmp_path):
-    """A one-chunk sweep counts the rounds its trials play alone, and makes
-    at most one matcher call a round of its longest trial."""
+    """A one-chunk sweep counts the rounds its trials play as one batch on
+    the cell's stream, and makes at most one matcher call a round of its
+    longest trial."""
     n, k, trials, seed = 64, 2, 5, 1
-    lone = []
-    for t in range(trials):
-        rng = stream_from_key(seed, n, k, t)
-        config = ColonyConfig(n=n, k=k, qualities=make_qualities(k, "all-good", rng),
-                              algorithm="simple")
-        trace, _ = run([config], [rng])
-        lone.append(len(trace.records))
+    rng = stream_from_key(seed, n, k)
+    configs = [ColonyConfig(n=n, k=k, qualities=make_qualities(k, "all-good", rng),
+                            algorithm="simple") for _ in range(trials)]
+    trace, _ = run(configs, rng)
+    longest = max(rec["round"] for rec in trace.records)
     layers = _load_layers()
     spans = layers.Spans()
     spans.install({m: importlib.import_module(f"nestsim.{m}") for m in MODULES})
@@ -73,5 +72,5 @@ def test_sweep_spans_count_colony_rounds_and_one_call_a_round(tmp_path):
         assert cli.main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
     finally:
         spans.uninstall()
-    assert spans.count["engine.rounds"] == sum(lone)
-    assert 0 < spans.count["matching.calls"] <= max(lone)
+    assert spans.count["engine.rounds"] == len(trace.records)
+    assert 0 < spans.count["matching.calls"] <= longest

@@ -31,8 +31,8 @@ def _config(algorithm, n=64, k=3, qualities=(1, 1, 0), **kw):
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_trace_is_deterministic(algorithm):
     config = _config(algorithm)
-    t1, (r1,) = run([config], [stream_from_key(11)], verbose=True)
-    t2, (r2,) = run([config], [stream_from_key(11)], verbose=True)
+    t1, (r1,) = run([config], stream_from_key(11), verbose=True)
+    t2, (r2,) = run([config], stream_from_key(11), verbose=True)
     assert t1.to_jsonl() == t2.to_jsonl()
     assert r1.to_json() == r2.to_json()
 
@@ -40,7 +40,7 @@ def test_trace_is_deterministic(algorithm):
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_counts_sum_to_n(algorithm):
     config = _config(algorithm)
-    trace, _ = run([config], [stream_from_key(3)])
+    trace, _ = run([config], stream_from_key(3))
     for rec in trace.records:
         assert sum(rec["counts"]) == config.n
 
@@ -48,8 +48,7 @@ def test_counts_sum_to_n(algorithm):
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_winner_is_suitable_and_stable(algorithm):
     config = _config(algorithm, qualities=(1, 0, 1))
-    seeds = range(8)
-    outcomes = play_on([config] * len(seeds), [stream_from_key(s) for s in seeds], 20)
+    outcomes = play_on([config] * 8, stream_from_key(0), 20)
     for winner, later in outcomes:
         assert winner is not None
         assert config.quality(winner) == 1
@@ -59,7 +58,7 @@ def test_winner_is_suitable_and_stable(algorithm):
 
 def test_round_cap_is_reported():
     config = _config("simple", n=128, max_rounds=3)
-    trace, (report,) = run([config], [stream_from_key(0)])
+    trace, (report,) = run([config], stream_from_key(0))
     assert not report.converged
     assert report.reason == "round_cap"
     assert report.winning_nest is None
@@ -69,12 +68,12 @@ def test_round_cap_is_reported():
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_stop_rule_at_the_round_cap(algorithm):
     """A run that agrees in round R converges under a cap of R, not of R - 1."""
-    _, (report,) = run([_config(algorithm)], [stream_from_key(5)])
+    _, (report,) = run([_config(algorithm)], stream_from_key(5))
     last = report.rounds_to_converge
-    trace, (at_cap,) = run([_config(algorithm, max_rounds=last)], [stream_from_key(5)])
+    trace, (at_cap,) = run([_config(algorithm, max_rounds=last)], stream_from_key(5))
     assert (at_cap.reason, at_cap.rounds_to_converge) == ("converged", last)
     assert len(trace.records) == last
-    trace, (short,) = run([_config(algorithm, max_rounds=last - 1)], [stream_from_key(5)])
+    trace, (short,) = run([_config(algorithm, max_rounds=last - 1)], stream_from_key(5))
     assert (short.converged, short.reason) == (False, "round_cap")
     assert len(trace.records) == last - 1
 
@@ -84,7 +83,7 @@ def test_a_batch_needs_one_algorithm_n_and_k():
               _config("optimal", k=4, qualities=(1, 0, 0, 1)))
     for other in others:
         with pytest.raises(ValueError):
-            run([_config("optimal"), other], [stream_from_key(0), stream_from_key(1)])
+            run([_config("optimal"), other], stream_from_key(0))
 
 
 def test_regime_warning_names_the_caller():
@@ -108,7 +107,7 @@ def test_precondition_violation_stops_the_run(monkeypatch):
         return kind, b, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_somewhere_new)
-    trace, (report,) = run([_config("optimal")], [stream_from_key(0)])
+    trace, (report,) = run([_config("optimal")], stream_from_key(0))
     assert not report.converged
     assert report.reason == "precondition_violation"
     assert report.winning_nest is None
@@ -117,13 +116,13 @@ def test_precondition_violation_stops_the_run(monkeypatch):
 
 def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
     """Colonies 0 and 2 break the contract in rounds 2 and 6; each leaves
-    the batch there, and colony 1 plays exactly as it does alone."""
+    the batch there with the records of the rounds before, and colony 1
+    plays on to its winner."""
     config = _config("optimal")
-    lone_trace, (lone,) = run([config], [stream_from_key(1)])
     emit = OptimalCohort.emit
 
-    def go_nowhere(self, r, rngs):
-        kind, b, target = emit(self, r, rngs)
+    def go_nowhere(self, r, rng):
+        kind, b, target = emit(self, r, rng)
         if r in (2, 6):
             # ant 0 is colony 0's first ant; the last ant is the last colony's
             ant = 0 if r == 2 else -1
@@ -131,26 +130,27 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
         return kind, b, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_nowhere)
-    trace, reports = run([config] * 3, [stream_from_key(t) for t in range(3)])
+    trace, reports = run([config] * 3, stream_from_key(1))
     assert [rep.reason for rep in reports] == [
-        "precondition_violation", lone.reason, "precondition_violation"]
-    assert reports[1] == lone
+        "precondition_violation", "converged", "precondition_violation"]
+    last = reports[1].rounds_to_converge
+    assert last > 6
     rounds = [rec["round"] for rec in trace.records]
-    assert rounds == [1] + [rec["round"] for rec in lone_trace.records] + [1, 2, 3, 4, 5]
-    assert trace.records[1:1 + len(lone_trace.records)] == lone_trace.records
+    assert rounds == [1] + list(range(1, last + 1)) + [1, 2, 3, 4, 5]
 
 
 COHORTS = {"optimal": OptimalCohort, "simple": SimpleCohort}
 
 
 def _count_emits(monkeypatch, algorithm) -> list:
-    """Record the round of every `emit` call the algorithm's cohort gets."""
+    """Record the round and the ant count of every `emit` call the
+    algorithm's cohort gets."""
     cohort = COHORTS[algorithm]
     emit, calls = cohort.emit, []
 
-    def counted(self, r, rngs):
-        calls.append(r)
-        return emit(self, r, rngs)
+    def counted(self, r, rng):
+        calls.append((r, self.nest.size))
+        return emit(self, r, rng)
 
     monkeypatch.setattr(cohort, "emit", counted)
     return calls
@@ -162,32 +162,36 @@ def test_clearing_every_keep_entry_ends_rounds(algorithm, monkeypatch):
     calls = _count_emits(monkeypatch, algorithm)
     played = []
     for live, records, _winners, keep in engine.rounds(
-            [_config(algorithm)] * 2, [stream_from_key(t) for t in range(2)]):
+            [_config(algorithm)] * 2, stream_from_key(0)):
         played.append([rec["round"] for rec in records])
         if len(played) == 3:
             keep[:] = False
     assert played == [[1, 1], [2, 2], [3, 3]]
-    assert calls == [1, 2, 3]
+    assert calls == [(r, 128) for r in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_clearing_one_keep_entry_drops_only_that_colony(algorithm, monkeypatch):
-    """Colony 1 is dropped after round 3; colonies 0 and 2 play on exactly
-    as they do alone, and the batch plays until the longer of them ends."""
-    configs = [_config(algorithm)] * 3
-    lone = [run([config], [stream_from_key(t)])[0].records
-            for t, config in enumerate(configs)]
-    stop = [len(lone[0]), 3, len(lone[2])]
+    """Colony 1 is dropped after round 3, so from round 4 `emit` sees only
+    the ants of colonies 0 and 2; they play on to their winners, and the
+    batch plays until the later of them."""
+    n, configs = 64, [_config(algorithm)] * 3
     calls = _count_emits(monkeypatch, algorithm)
-    played = [[] for _ in configs]
-    for live, records, _winners, keep in engine.rounds(
-            configs, [stream_from_key(t) for t in range(3)]):
-        for i, (t, rec) in enumerate(zip(live.tolist(), records)):
+    played, won = [[] for _ in configs], [None] * 3
+    for live, records, winners, keep in engine.rounds(configs, stream_from_key(0)):
+        for i, (t, rec, winner) in enumerate(zip(live.tolist(), records, winners)):
             played[t].append(rec)
-            keep[i] = len(played[t]) < stop[t]
-    assert stop[1] < len(lone[1])
-    assert played == [lone[0], lone[1][:3], lone[2]]
-    assert calls == list(range(1, max(stop) + 1))
+            won[t] = winner
+            keep[i] = winner is None and (t != 1 or rec["round"] < 3)
+    assert len(played[1]) == 3 and won[1] is None
+    assert won[0] is not None and won[2] is not None
+    last = max(len(played[0]), len(played[2]))
+    assert last > 3
+    assert [rec["round"] for rec in played[0] + played[2]] == [
+        *range(1, len(played[0]) + 1), *range(1, len(played[2]) + 1)]
+    assert calls[:3] == [(r, 3 * n) for r in (1, 2, 3)]
+    assert calls[3] == (4, 2 * n)
+    assert [r for r, _ in calls] == list(range(1, last + 1))
 
 
 def test_a_winner_on_an_unsuitable_nest_is_an_engine_error(monkeypatch):
@@ -195,7 +199,7 @@ def test_a_winner_on_an_unsuitable_nest_is_an_engine_error(monkeypatch):
     monkeypatch.setattr(OptimalCohort, "convergence_nest",
                         lambda self: [3] * (self.nest.size // self.n))
     with pytest.raises(EngineError, match="unsuitable nest 3"):
-        run([_config("optimal", qualities=(1, 1, 0))], [stream_from_key(0)])
+        run([_config("optimal", qualities=(1, 1, 0))], stream_from_key(0))
 
 
 def test_stream_from_key_contract():
@@ -320,6 +324,6 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
 
     monkeypatch.setattr(engine, "_resolve_arrays", checked)
     trace, (report,) = run([_config(algorithm, n=n, k=4, qualities=(1, 0, 1, 1))],
-                           [stream_from_key(n)])
+                           stream_from_key(n))
     assert report.converged
     assert shadow["rounds"] == len(trace.records)

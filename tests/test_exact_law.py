@@ -87,8 +87,8 @@ def test_sweep_rounds_follow_the_exact_law(algorithm, n, pattern, monkeypatch):
     monkeypatch.setattr(lemmas, "UNION_ANTS", 256 * n)
     run, reports = harness.run, []
 
-    def recording_run(configs, rngs):
-        trace, chunk = run(configs, rngs)
+    def recording_run(configs, rng):
+        trace, chunk = run(configs, rng)
         reports.extend(chunk)
         return trace, chunk
 

@@ -96,9 +96,9 @@ GOLDEN = {
     "run-simple-n64-all-good-s2": "7fa4db5d982c401a919f95e68827dc36872efab283b99a02d9b6cac03245c100",
     "run-simple-n64-one-good-s1": "df1f55682e5014254517e0ee59541995ab53e47e379c611f9eeaad9ddf39d5f1",
     "run-simple-n64-one-good-s2": "fc132b22147bbba5a64814ee7caacd502d34715723bbdefc767261978a90130f",
-    "sweep-optimal": "77b36125de3568b3ccab2ad45d78666fc628a0cb4c4e1f43e6e93f259019c2ac",
-    "sweep-optimal-capped": "f16f9bc7d132f16645f936879869c8dd1c26cda2bccfbda5ff27194d46fa9dbc",
-    "sweep-simple-random": "81f129bd4e8dc8e6351875aa75e71311da456e57af9f56a94e8e4d1d91791d4a",
+    "sweep-optimal": "5a880938ff088a10ea4de0b633756af88577493b21e8b7e2ced2dc3e4e9d9a36",
+    "sweep-optimal-capped": "6534749e5ea955df14449ba4563f1c21d8c35381d1f24ac886e8335fc9d6fa10",
+    "sweep-simple-random": "c15d7d1ffa8dd7023a64a001d6b523e43f1775d083f9ee08dfc9d3ad25a1841d",
 }
 
 

@@ -1,11 +1,12 @@
-import copy
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from nestsim import cli, harness, lemmas
-from nestsim.engine import run
+from nestsim.config import ColonyConfig, make_qualities
+from nestsim.engine import run, stream_from_key
 from nestsim.harness import (
     CSV_SCHEMA,
     ExperimentSpec,
@@ -104,48 +105,47 @@ def test_sweep_counts_convergence():
     assert row.p10_rounds <= row.p90_rounds
 
 
-def _per_colony(records):
-    """A batch trace's records split colony by colony; each starts at round 1."""
-    colonies = []
-    for rec in records:
-        if rec["round"] == 1:
-            colonies.append([])
-        colonies[-1].append(rec)
-    return colonies
-
-
 @pytest.mark.parametrize("n", [1, 2, 64, 1000])
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
 def test_batched_trials_replay_their_lone_runs(algorithm, n, monkeypatch):
-    """Each trial of a cell played in chunks is its lone run, byte for byte.
+    """A cell played in chunks replays byte for byte, its chunks play every
+    trial once in trial order, and a cell of one trial is the lone run on
+    the cell's stream.
 
     A budget of 2n ants splits five trials into chunks of 2, 2 and 1, and a
-    cap of 50 rounds is hit by some trials and not by others.
+    cap of 45 rounds is hit by some trials and not by others.
     """
     monkeypatch.setattr(lemmas, "UNION_ANTS", 2 * n)
     chunks = []
 
-    def recording_run(configs, rngs):
-        lone = [run([c], [g], verbose=True) for c, g in zip(configs, copy.deepcopy(rngs))]
-        verbose, _ = run(configs, copy.deepcopy(rngs), verbose=True)
-        trace, reports = run(configs, rngs)
-        chunks.append((configs, trace, reports, verbose, lone))
+    def recording_run(configs, rng):
+        trace, reports = run(configs, rng)
+        chunks.append((configs, trace.to_jsonl(), [rep.to_json() for rep in reports]))
         return trace, reports
 
+    def play(spec):
+        chunks.clear()
+        csv = rows_to_csv([harness.run_cell(spec, n, 3)])
+        return csv, list(chunks)
+
+    def configs(pattern, trials):
+        rng = stream_from_key(3, n, 3)
+        return rng, [ColonyConfig(n, 3, make_qualities(3, pattern, rng), algorithm, 45)
+                     for _ in range(trials)]
+
     monkeypatch.setattr(harness, "run", recording_run)
-    for pattern in ("one-good", "all-good", "random:0.5", "1,0,1"):
-        harness.sweep(ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 7, max_rounds=45))
     reasons = set()
-    for configs, trace, reports, verbose, lone in chunks:
-        assert len(configs) == len(reports) <= 2
-        assert [rep for _, (rep,) in lone] == reports
-        reasons.update(rep.reason for rep in reports)
-        if len(configs) >= 2:
-            assert _per_colony(verbose.records) == [t.records for t, _ in lone]
-            plain = [[{key: v for key, v in rec.items() if key != "locations"}
-                      for rec in t.records] for t, _ in lone]
-            assert _per_colony(trace.records) == plain
-    assert len(chunks) == 4 * 3
+    for pattern in ("one-good", "all-good", "random:0.5", "1,0,1"):
+        spec = ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 3, max_rounds=45)
+        csv, played = play(spec)
+        assert play(spec) == (csv, played)
+        assert [len(chunk) for chunk, _, _ in played] == [2, 2, 1]
+        assert [c for chunk, _, _ in played for c in chunk] == configs(pattern, 5)[1]
+        reasons.update(strict_json(rep)["reason"] for *_, reps in played for rep in reps)
+        rng, lone = configs(pattern, 1)
+        trace, (report,) = run(lone, rng)
+        _, (one,) = play(replace(spec, trials=1))
+        assert one == (lone, trace.to_jsonl(), [report.to_json()])
     assert reasons == {"converged", "round_cap"}
 
 

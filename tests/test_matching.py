@@ -254,49 +254,81 @@ def test_one_pool_draws_as_a_plain_call(m):
 
 @st.composite
 def unions(draw):
-    """(m, pools, seed, share of active ants) for a union of equal pools of
-    a few ants or of over a hundred, at most 384 ants in all."""
-    m = draw(st.one_of(st.integers(1, 6), st.integers(120, 136)))
-    pools = draw(st.integers(1, 384 // m))
+    """(pool sizes, seed, share of active ants) for a union of at most 384
+    ants: equal pools of a few ants or of over a hundred, or pools of
+    unequal sizes, empty ones included."""
+    if draw(st.booleans()):
+        m = draw(st.one_of(st.integers(1, 6), st.integers(120, 136)))
+        sizes = (m,) * draw(st.integers(1, 384 // m))
+    else:
+        sizes = tuple(draw(st.lists(st.integers(0, 130), min_size=2, max_size=8)
+                           .filter(lambda s: 0 < sum(s) <= 384)))
     share = draw(st.sampled_from((0.0, 0.3, 1.0)))
-    return m, pools, draw(st.integers(0, 2**32 - 1)), share
+    return sizes, draw(st.integers(0, 2**32 - 1)), share
 
 
 @given(union=unions())
-@example(union=(1, 1, 0, 1.0))
-@example(union=(1, 384, 0, 0.3))
-@example(union=(3, 5, 0, 0.0))
-@example(union=(4, 31, 1, 1.0))
-@example(union=(4, 32, 1, 1.0))
-@example(union=(128, 1, 2, 0.3))
+@example(union=((1,), 0, 1.0))
+@example(union=((1,) * 384, 0, 0.3))
+@example(union=((3,) * 5, 0, 0.0))
+@example(union=((4,) * 31, 1, 1.0))
+@example(union=((4,) * 32, 1, 1.0))
+@example(union=((128,), 2, 0.3))
+@example(union=((0, 3, 0, 5, 130), 3, 1.0))
+@example(union=((0, 0, 7, 2, 0), 4, 0.3))
 @settings(max_examples=150, deadline=None)
 def test_pooled_call_equals_match_loop_pool_by_pool(union):
     # the examples: one ant; single ants; nobody active; unions of 124 and
-    # 128 ants in pools of 4; one pool of 128 ants
-    m, pools, seed, share = union
-    setup = stream_from_key(seed, m, pools)
-    active = setup.random(m * pools) < share
-    targets = setup.integers(1, 5, size=m * pools)
-    pairs, returned = match_arrays(active, targets, stream_from_key(seed), pool=m)
+    # 128 ants in pools of 4; one pool of 128 ants; unequal pools with
+    # empty ones first, between and last
+    sizes, seed, share = union
+    m = sum(sizes)
+    setup = stream_from_key(seed, len(sizes), m)
+    active = setup.random(m) < share
+    targets = setup.integers(1, 5, size=m)
 
+    # one permutation of the union, then each active caller in ant-index
+    # order picks uniformly inside its own pool
     replay = stream_from_key(seed)
-    perm = replay.permutation(m * pools).tolist()
-    callers = np.flatnonzero(active)
-    picks = np.full(m * pools, -1)
-    if callers.size:
-        picks[callers] = replay.integers(0, m, size=callers.size)
+    perm = replay.permutation(m).tolist()
+    starts = np.cumsum((0, *sizes))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    picks = np.full(m, -1)
+    for a in np.flatnonzero(active):
+        picks[a] = starts[owner[a]] + replay.integers(0, sizes[owner[a]])
     want_pairs, want_returned = [], []
-    for lo in range(0, m * pools, m):
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
         # the order the union permutation induces on this pool
-        induced = [a - lo for a in perm if lo <= a < lo + m]
+        induced = [a - lo for a in perm if lo <= a < hi]
         recruiter, pool_returned = match_loop(
-            active[lo:lo + m].tolist(), targets[lo:lo + m].tolist(),
-            induced, picks[lo:lo + m].tolist(),
+            active[lo:hi].tolist(), targets[lo:hi].tolist(),
+            induced, (picks[lo:hi] - lo).tolist(),
         )
         want_pairs += [[lo + r, lo + x] for x, r in enumerate(recruiter) if r != -1]
         want_returned += pool_returned
-    assert pairs.tolist() == want_pairs
-    assert returned.tolist() == want_returned
+    # pools of one size can also be passed as `pool=m`
+    forms = [np.array(sizes)] + ([sizes[0]] if len(set(sizes)) == 1 else [])
+    for pool in forms:
+        pairs, returned = match_arrays(active, targets, stream_from_key(seed), pool=pool)
+        assert pairs.tolist() == want_pairs
+        assert returned.tolist() == want_returned
+
+
+@pytest.mark.parametrize("bounds", [[64] * 40, [1, 5, 64, 2, 130, 3, 1000] * 6])
+def test_bound_per_caller_draws_as_consecutive_scalar_calls(bounds):
+    """numpy draws integers(0, bounds) as consecutive scalar calls with those
+    bounds and leaves the stream where they leave it; with one bound, as one
+    scalar call of that size.  So a batch draws its picks as its colonies
+    would one after another, and equal pools may take the scalar bound."""
+    per_caller, scalars = stream_from_key(3), stream_from_key(3)
+    drawn = per_caller.integers(0, np.array(bounds), size=len(bounds))
+    assert drawn.tolist() == [int(scalars.integers(0, h)) for h in bounds]
+    after = per_caller.random()
+    assert scalars.random() == after
+    if len(set(bounds)) == 1:
+        one_call = stream_from_key(3)
+        assert one_call.integers(0, bounds[0], size=len(bounds)).tolist() == drawn.tolist()
+        assert one_call.random() == after
 
 
 @pytest.mark.parametrize("m, pool", [(10, 3), (4, 0), (4, 8)])

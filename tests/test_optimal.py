@@ -210,7 +210,7 @@ def _recorded_run(monkeypatch, n, k, qualities, *key):
         n=n, k=k, qualities=qualities, algorithm="optimal"
     )
     rounds = record_rounds(monkeypatch, OptimalCohort)
-    trace, (report,) = run([config], [stream_from_key(*key)])
+    trace, (report,) = run([config], stream_from_key(*key))
     assert report.converged, report
     assert len(rounds) == len(trace.records)
     return config, trace, rounds
@@ -292,6 +292,6 @@ def test_converges_single_candidate():
     config = ColonyConfig(
         n=4, k=1, qualities=(1,), algorithm="optimal"
     )
-    _, (report,) = run([config], [stream_from_key(0)])
+    _, (report,) = run([config], stream_from_key(0))
     assert report.converged
     assert report.winning_nest == 1

@@ -138,7 +138,7 @@ def _recorded_run(monkeypatch, n, k, qualities, seed):
         n=n, k=k, qualities=qualities, algorithm="simple"
     )
     rounds = record_rounds(monkeypatch, SimpleCohort)
-    trace, (report,) = run([config], [stream_from_key(seed)])
+    trace, (report,) = run([config], stream_from_key(seed))
     assert report.converged, report
     assert len(rounds) == len(trace.records)
     return config, trace, rounds
