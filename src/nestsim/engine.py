@@ -1,12 +1,12 @@
 """Synchronous round driver.
 
-`rounds` plays a batch of colonies of one (algorithm, n, k), laid back to
-back in flat arrays of colonies * n ants.  Each round: collect one request
-per ant from the strategy's cohort as arrays, drop every colony with a
-request that breaks the primitive contract (`world.violations`), place
-searchers on uniform random nests, move go-ers, resolve all recruiters in
-a single matching, compute each colony's end-of-round counts, hand the
-results back to the cohort, and ask it for each colony's convergence nest.
+`rounds` plays a batch of colonies of one (algorithm, n, k), with one row
+per colony in every per-ant array.  Each round: collect one request per
+ant from the strategy's cohort as arrays, drop every colony with a request
+that breaks the primitive contract (`world.violations`), place searchers
+on uniform random nests, move go-ers, resolve all recruiters in a single
+matching, compute each colony's end-of-round counts, hand the results back
+to the cohort, and ask it for each colony's convergence nest.
 `run` only decides when each colony stops: at its first winner, at its
 round cap, or when its requests break the contract.  A lone run is the
 batch of one colony.
@@ -15,10 +15,11 @@ A batch draws from one stream, in a fixed order each round, so the whole
 batch replays exactly from its stream: (1) the recruit-or-not batch over
 the active ants of every colony, drawn while collecting requests (simple
 algorithm, recruitment rounds), (2) the search-placement batch over every
-searcher in ant-index order (round 1), (3) when there are recruiters, the
-matcher's permutation of all of them and then the picks of every active
-caller, each inside its own colony.  Each is one call however many
-colonies play, and none is made where its batch would be empty.
+searcher in row-major order, colony after colony (round 1), (3) when
+there are recruiters, the matcher's permutation of all of them and then
+the picks of every active caller, each inside its own colony.  Each is one
+call however many colonies play, and none is made where its batch would
+be empty.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import (HOME, K_RECRUIT, K_SEARCH, WorldState, colony_counts,
-                    colony_slots, keep_colonies, violations)
+from .world import HOME, K_RECRUIT, K_SEARCH, WorldState, keep_colonies, violations
 
 
 class EngineError(RuntimeError):
@@ -92,28 +92,31 @@ def _resolve_arrays(world: WorldState, kind, b, target, rng):
     being led: `violations` found every go target visited, and recruiters
     end the round at the home nest.
     """
-    n, k = world.n, world.k
-    colonies = target.size // n
+    k = world.k
+    colonies = len(target)
     res_nest = target.copy()
-    led = np.zeros(target.size, dtype=bool)
-    searchers = np.nonzero(kind == K_SEARCH)[0]
+    led = np.zeros(target.shape, dtype=bool)
+    # the matcher resolves the union of every colony's recruiters, so moves
+    # index flat views of the rows in row-major order
+    nest, seen = res_nest.ravel(), world.visited.reshape(res_nest.size, k + 1)
+    searchers = np.flatnonzero(kind == K_SEARCH)
     if searchers.size:
-        res_nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
-        world.visited[searchers, res_nest[searchers]] = True
+        nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
+        seen[searchers, nest[searchers]] = True
     recruiting = kind == K_RECRUIT
-    rec = np.nonzero(recruiting)[0]
+    rec = np.flatnonzero(recruiting)
     if rec.size:
-        pools = colony_counts(rec, n, colonies)
-        pairs, returned = match_arrays(b[rec] == 1, target[rec], rng, pools)
-        res_nest[rec] = returned
+        pools = np.count_nonzero(recruiting, axis=1)
+        pairs, returned = match_arrays(b.ravel()[rec] == 1, target.ravel()[rec], rng, pools)
+        nest[rec] = returned
         # being led somewhere counts as having been shown the nest
         followers = rec[pairs[pairs[:, 0] != pairs[:, 1], 1]]
-        led[followers] = True
-        world.visited[followers, res_nest[followers]] = True
+        led.ravel()[followers] = True
+        seen[followers, nest[followers]] = True
     world.location = np.where(recruiting, HOME, res_nest)
-    slots = colony_slots(world.location, n, k + 1)
-    counts = np.bincount(slots, minlength=colonies * (k + 1))
-    return res_nest, counts[slots], counts.reshape(-1, k + 1), led
+    slots = world.location + (k + 1) * np.arange(colonies)[:, None]
+    counts = np.bincount(slots.ravel(), minlength=colonies * (k + 1))
+    return res_nest, counts[slots], counts.reshape(colonies, k + 1), led
 
 
 def rounds(configs, rng, verbose: bool = False):
@@ -136,21 +139,20 @@ def rounds(configs, rng, verbose: bool = False):
     live = np.arange(len(configs))
     for r in count(1):
         kind, b, target = cohort.emit(r, rng)
-        ok = ~violations(world, kind, target).reshape(-1, n).any(1)
+        ok = ~violations(world, kind, target).any(1)
         if not ok.all():
             for obj in (cohort, world):
-                keep_colonies(obj, ok, n)
+                keep_colonies(obj, ok)
             live = live[ok]
             if not live.size:
                 return
-            ants = np.repeat(ok, n)
-            kind, b, target = kind[ants], b[ants], target[ants]
+            kind, b, target = kind[ok], b[ok], target[ok]
         res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rng)
         cohort.absorb(r, res_nest, res_count, led)
         records = [{"round": r, "counts": c, "states": s}
                    for c, s in zip(counts.tolist(), cohort.mode_tallies())]
         if verbose:
-            for rec, loc in zip(records, world.location.reshape(-1, n).tolist()):
+            for rec, loc in zip(records, world.location.tolist()):
                 rec["locations"] = loc
         keep = np.ones(live.size, dtype=bool)
         yield live, records, cohort.convergence_nest(), keep
@@ -158,7 +160,7 @@ def rounds(configs, rng, verbose: bool = False):
             return
         if not keep.all():
             for obj in (cohort, world):
-                keep_colonies(obj, keep, n)
+                keep_colonies(obj, keep)
             live = live[keep]
 
 

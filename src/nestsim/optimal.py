@@ -29,29 +29,28 @@ def subround(r: int) -> int:
 
 
 class OptimalCohort:
-    """All ants' states as parallel arrays, colonies of n ants back to back.
+    """All ants' states as parallel arrays, one row per colony.
 
     The blocks are aligned on the round number, which every colony of a
     batch shares, so one subround holds for the whole batch.
     """
 
     def __init__(self, configs):
-        self.n = n = configs[0].n
         self.qual = np.array([c.qualities for c in configs], dtype=np.int64)
-        n *= len(configs)
-        self.mode = np.full(n, SEARCH, dtype=np.int8)
-        self.block = np.full(n, SEARCH, dtype=np.int8)
-        self.nest = np.zeros(n, dtype=np.int64)
-        self.count = np.zeros(n, dtype=np.int64)
-        self.branch = np.zeros(n, dtype=np.int8)
-        self.nest_t = np.zeros(n, dtype=np.int64)
-        self.count_t = np.zeros(n, dtype=np.int64)
+        ants = (len(configs), configs[0].n)
+        self.mode = np.full(ants, SEARCH, dtype=np.int8)
+        self.block = np.full(ants, SEARCH, dtype=np.int8)
+        self.nest = np.zeros(ants, dtype=np.int64)
+        self.count = np.zeros(ants, dtype=np.int64)
+        self.branch = np.zeros(ants, dtype=np.int8)
+        self.nest_t = np.zeros(ants, dtype=np.int64)
+        self.count_t = np.zeros(ants, dtype=np.int64)
 
     def emit(self, r: int, rng):
-        n = self.nest.size
-        kind = np.empty(n, dtype=np.int8)
-        b = np.zeros(n, dtype=np.int8)
-        target = np.zeros(n, dtype=np.int64)
+        ants = self.nest.shape
+        kind = np.empty(ants, dtype=np.int8)
+        b = np.zeros(ants, dtype=np.int8)
+        target = np.zeros(ants, dtype=np.int64)
         if r == 1:
             kind[:] = K_SEARCH
             return kind, b, target
@@ -84,8 +83,7 @@ class OptimalCohort:
         if r == 1:
             self.nest = res_nest.astype(np.int64)
             self.count = res_count.astype(np.int64)
-            colony = np.arange(self.nest.size) // self.n
-            good = self.qual[colony, self.nest - 1] == 1
+            good = np.take_along_axis(self.qual, self.nest - 1, axis=1) == 1
             self.mode = np.where(good, ACTIVE, PASSIVE).astype(np.int8)
             return
         sub = subround(r)
@@ -123,13 +121,11 @@ class OptimalCohort:
     def convergence_nest(self):
         """Per colony, its winning nest once every ant is final and committed
         to it, else None."""
-        nest = self.nest.reshape(-1, self.n)
-        first = nest[:, 0]
-        won = (self.mode.reshape(-1, self.n) == FINAL).all(1)
-        won[won] = (nest[won] == first[won, None]).all(1)
+        first = self.nest[:, 0]
+        won = (self.mode == FINAL).all(1)
+        won[won] = (self.nest[won] == first[won, None]).all(1)
         return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
     def mode_tallies(self) -> list:
-        mode = self.mode.reshape(-1, self.n)
-        tallies = [np.count_nonzero(mode == m, axis=1).tolist() for m in MODE_NAMES]
+        tallies = [np.count_nonzero(self.mode == m, axis=1).tolist() for m in MODE_NAMES]
         return [dict(zip(MODE_NAMES.values(), row)) for row in zip(*tallies)]

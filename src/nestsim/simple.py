@@ -20,34 +20,34 @@ from .world import K_GO, K_RECRUIT, K_SEARCH
 
 
 class SimpleCohort:
-    """All ants' states as parallel arrays, colonies of n ants back to back.
+    """All ants' states as parallel arrays, one row per colony.
 
     Recruit-or-not draws are made as one batch per recruitment round, over
-    the currently active ants of every colony in ant-index order.
+    the currently active ants of every colony in row-major order.
     """
 
     def __init__(self, configs):
-        self.n = n = configs[0].n
+        self.n = configs[0].n
         self.qual = np.array([c.qualities for c in configs], dtype=np.int64)
-        self.active = np.ones(len(configs) * n, dtype=bool)
-        self.nest = np.zeros(len(configs) * n, dtype=np.int64)
-        self.count = np.zeros(len(configs) * n, dtype=np.int64)
+        ants = (len(configs), self.n)
+        self.active = np.ones(ants, dtype=bool)
+        self.nest = np.zeros(ants, dtype=np.int64)
+        self.count = np.zeros(ants, dtype=np.int64)
 
     def emit(self, r: int, rng):
-        n = self.n
-        size = self.nest.size
-        kind = np.empty(size, dtype=np.int8)
-        b = np.zeros(size, dtype=np.int8)
-        target = np.zeros(size, dtype=np.int64)
+        ants = self.nest.shape
+        kind = np.empty(ants, dtype=np.int8)
+        b = np.zeros(ants, dtype=np.int8)
+        target = np.zeros(ants, dtype=np.int64)
         if r == 1:
             kind[:] = K_SEARCH
             return kind, b, target
         target[:] = self.nest
         if r % 2 == 0:  # recruitment round
             kind[:] = K_RECRUIT
-            act = np.nonzero(self.active)[0]
-            if act.size:
-                b[act] = (rng.random(act.size) < self.count[act] / n).astype(np.int8)
+            drawn = np.count_nonzero(self.active)
+            if drawn:
+                b[self.active] = rng.random(drawn) < self.count[self.active] / self.n
         else:  # assessment round
             kind[:] = K_GO
         return kind, b, target
@@ -56,8 +56,7 @@ class SimpleCohort:
         if r == 1:
             self.nest = res_nest.astype(np.int64)
             self.count = res_count.astype(np.int64)
-            colony = np.arange(self.nest.size) // self.n
-            self.active = self.qual[colony, self.nest - 1] == 1
+            self.active = np.take_along_axis(self.qual, self.nest - 1, axis=1) == 1
             return
         if r % 2 == 0:
             self.nest[led] = res_nest[led]
@@ -68,13 +67,12 @@ class SimpleCohort:
     def convergence_nest(self):
         """Per colony, its winning nest once all its ants are active on one
         suitable nest, else None."""
-        nest = self.nest.reshape(-1, self.n)
-        first = nest[:, 0]
-        won = self.active.reshape(-1, self.n).all(1)
-        won[won] = (nest[won] == first[won, None]).all(1)
+        first = self.nest[:, 0]
+        won = self.active.all(1)
+        won[won] = (self.nest[won] == first[won, None]).all(1)
         won &= self.qual[np.arange(first.size), first - 1] == 1
         return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
 
     def mode_tallies(self) -> list:
-        actives = np.count_nonzero(self.active.reshape(-1, self.n), axis=1).tolist()
+        actives = np.count_nonzero(self.active, axis=1).tolist()
         return [{"active": a, "passive": self.n - a} for a in actives]

@@ -7,8 +7,8 @@ already been led to or located at; `violations` is the one check of that
 rule.  Counts returned by the primitives are end-of-round values, computed
 after all location updates of the round.
 
-A batch of colonies of one size lays them back to back: ant i belongs to
-colony i // n.
+A batch of colonies of one size holds every per-ant array with one row per
+colony: entry [c, i] is ant i of colony c.
 """
 
 from __future__ import annotations
@@ -25,32 +25,18 @@ class WorldState:
     """Locations and visit histories of a batch of colonies of n ants each."""
 
     def __init__(self, n: int, k: int, colonies: int = 1):
-        self.n = n
         self.k = k
         # before round 1 every ant is at the home nest
-        self.location = np.zeros(colonies * n, dtype=np.int64)
-        self.visited = np.zeros((colonies * n, k + 1), dtype=bool)
-        self.visited[:, HOME] = True
+        self.location = np.zeros((colonies, n), dtype=np.int64)
+        self.visited = np.zeros((colonies, n, k + 1), dtype=bool)
+        self.visited[:, :, HOME] = True
 
 
-def keep_colonies(obj, keep, n: int):
-    """Keep the colonies flagged in `keep` in every array attribute of `obj`,
-    each per ant or per colony by its length (with n = 1 the two agree)."""
-    ants = np.repeat(keep, n)
+def keep_colonies(obj, keep):
+    """Keep the colony rows flagged in `keep` in every array attribute of `obj`."""
     for name, value in vars(obj).items():
         if isinstance(value, np.ndarray):
-            setattr(obj, name, value[ants if len(value) == ants.size else keep])
-
-
-def colony_counts(ants, n: int, colonies: int):
-    """How many of the sorted ant indices `ants` each colony holds."""
-    return np.diff(np.searchsorted(ants, n * np.arange(colonies + 1)))
-
-
-def colony_slots(values, n: int, width: int):
-    """Each ant's value offset by width times its colony, as bincount slots."""
-    colonies = values.size // n
-    return (values.reshape(colonies, n) + width * np.arange(colonies)[:, None]).ravel()
+            setattr(obj, name, value[keep])
 
 
 def violations(world: WorldState, kind, target):
@@ -61,5 +47,6 @@ def violations(world: WorldState, kind, target):
     """
     candidate = (target >= 1) & (target <= world.k)
     # a target off the candidate range reads some in-range cell; `candidate` masks it
-    seen = world.visited.take(np.arange(kind.size) * (world.k + 1) + target, mode="clip")
+    ants = np.arange(kind.size).reshape(kind.shape)
+    seen = world.visited.take(ants * (world.k + 1) + target, mode="clip")
     return (kind != K_SEARCH) & ~(candidate & seen)

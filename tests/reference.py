@@ -48,7 +48,7 @@ def validate(world: WorldState, kind, target) -> str | None:
     if not bad.any():
         return None
     ant = int(bad.argmax())
-    nest = int(target[ant])
+    nest = int(target.flat[ant])
     if 1 <= nest <= world.k:
         return f"ant {ant}: has never been at nest {nest}"
     return f"ant {ant}: target {nest} is not a candidate nest"
@@ -100,32 +100,34 @@ class RecruitResult:
 def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
     """Resolve one round of explicit per-ant requests through the engine.
 
-    `requests` must hold exactly one Search/Go/Recruit per ant id 0..n-1;
-    `qualities` is the candidate nests' quality vector.  Returns a dict
-    ant id -> result.  Raises PreconditionViolation for an invalid request.
+    `requests` must hold exactly one Search/Go/Recruit per ant id 0..n-1
+    of the lone colony of `world`; `qualities` is the candidate nests'
+    quality vector.  Returns a dict ant id -> result.  Raises
+    PreconditionViolation for an invalid request.
     """
-    n = world.n
+    n = world.location.shape[1]
     if set(requests) != set(range(n)):
         raise PreconditionViolation("need exactly one request per ant")
-    kind = np.empty(n, dtype=np.int8)
-    b = np.zeros(n, dtype=np.int8)
-    target = np.zeros(n, dtype=np.int64)
+    kind = np.empty((1, n), dtype=np.int8)
+    b = np.zeros((1, n), dtype=np.int8)
+    target = np.zeros((1, n), dtype=np.int64)
     for ant, req in requests.items():
         if isinstance(req, Search):
-            kind[ant] = K_SEARCH
+            kind[0, ant] = K_SEARCH
         elif isinstance(req, Go):
-            kind[ant] = K_GO
-            target[ant] = req.target
+            kind[0, ant] = K_GO
+            target[0, ant] = req.target
         elif isinstance(req, Recruit):
-            kind[ant] = K_RECRUIT
-            b[ant] = req.active
-            target[ant] = req.target
+            kind[0, ant] = K_RECRUIT
+            b[0, ant] = req.active
+            target[0, ant] = req.target
         else:
             raise PreconditionViolation(f"ant {ant}: unknown request {req!r}")
     violation = validate(world, kind, target)
     if violation is not None:
         raise PreconditionViolation(violation)
     res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, rng)
+    res_nest, res_count, led = res_nest[0], res_count[0], led[0]
     out = {}
     for ant, req in requests.items():
         if isinstance(req, Search):
@@ -150,25 +152,26 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
 
     Each round gives one dict: the requests `emit` returned (kind, b,
     target), the results `absorb` received (res_nest, res_count, led), and
-    `state`, a copy of the cohort's arrays as `absorb` found them.
+    `state`, a copy of the cohort's arrays as `absorb` found them.  Every
+    array is recorded flattened in row-major order, so a lone colony's
+    arrays are indexed by ant.
     """
     rounds = []
     emit, absorb = cohort_cls.emit, cohort_cls.absorb
 
     def recording_emit(self, r, rng):
         kind, b, target = emit(self, r, rng)
-        rounds.append(
-            {"round": r, "kind": kind.copy(), "b": b.copy(), "target": target.copy()}
-        )
+        rounds.append({"round": r, "kind": kind.flatten(), "b": b.flatten(),
+                       "target": target.flatten()})
         return kind, b, target
 
     def recording_absorb(self, r, res_nest, res_count, led):
         rounds[-1].update(
-            res_nest=res_nest.copy(),
-            res_count=res_count.copy(),
-            led=led.copy(),
+            res_nest=res_nest.flatten(),
+            res_count=res_count.flatten(),
+            led=led.flatten(),
             state={
-                name: value.copy()
+                name: value.flatten()
                 for name, value in vars(self).items()
                 if isinstance(value, np.ndarray)
             },

@@ -102,8 +102,8 @@ def test_precondition_violation_stops_the_run(monkeypatch):
         kind, b, target = emit(self, r, rng)
         if r == 2:
             # after round 1 ant 0 has been at exactly one candidate nest
-            kind[0] = K_GO
-            target[0] = self.nest[0] % self.qual.shape[1] + 1
+            kind[0, 0] = K_GO
+            target[0, 0] = self.nest[0, 0] % self.qual.shape[1] + 1
         return kind, b, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_somewhere_new)
@@ -124,8 +124,8 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
     def go_nowhere(self, r, rng):
         kind, b, target = emit(self, r, rng)
         if r in (2, 6):
-            # ant 0 is colony 0's first ant; the last ant is the last colony's
-            ant = 0 if r == 2 else -1
+            # colony 0's first ant, then the last colony's last ant
+            ant = (0, 0) if r == 2 else (-1, -1)
             kind[ant], target[ant] = K_GO, self.qual.shape[1] + 1
         return kind, b, target
 
@@ -137,6 +137,51 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
     assert last > 6
     rounds = [rec["round"] for rec in trace.records]
     assert rounds == [1] + list(range(1, last + 1)) + [1, 2, 3, 4, 5]
+
+
+def test_colony_rows_stay_aligned_when_a_colony_leaves(monkeypatch):
+    """Colony 0 breaks the contract in round 2.  From round 3 on, every
+    array of the cohort has one row per live colony, colonies 1 and 2 keep
+    their own rows, and each converges to its own good nest."""
+    qualities = [(1, 0), (0, 1), (1, 0)]
+    configs = [_config("optimal", k=2, qualities=q) for q in qualities]
+    emit, seen = OptimalCohort.emit, {}
+
+    def break_colony_0(self, r, rng):
+        if r > 2:
+            rows = {name: len(value) for name, value in vars(self).items()
+                    if isinstance(value, np.ndarray)}
+            seen[r] = self.qual.tolist(), rows
+        kind, b, target = emit(self, r, rng)
+        if r == 2:
+            kind[0, 0], target[0, 0] = K_GO, 3
+        return kind, b, target
+
+    monkeypatch.setattr(OptimalCohort, "emit", break_colony_0)
+    _, reports = run(configs, stream_from_key(2))
+    assert [rep.reason for rep in reports] == [
+        "precondition_violation", "converged", "converged"]
+    assert [rep.winning_nest for rep in reports[1:]] == [2, 1]
+    assert max(seen) == max(rep.rounds_to_converge for rep in reports[1:])
+    arrays = [name for name, value in vars(OptimalCohort(configs)).items()
+              if isinstance(value, np.ndarray)]
+    for r, (qual, rows) in seen.items():
+        live = [t for t in (1, 2) if reports[t].rounds_to_converge >= r]
+        assert qual == [list(qualities[t]) for t in live]
+        assert rows == dict.fromkeys(arrays, len(live))
+
+
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_a_verbose_batch_records_each_colony_s_locations(algorithm):
+    config = _config(algorithm)
+    configs = [config, _config(algorithm, qualities=(0, 1, 1)), config]
+    trace, reports = run(configs, stream_from_key(4), verbose=True)
+    assert all(rep.converged for rep in reports)
+    assert len(trace.records) > 3
+    for rec in trace.records:
+        assert len(rec["locations"]) == config.n
+        counts = np.bincount(rec["locations"], minlength=config.k + 1)
+        assert rec["counts"] == counts.tolist()
 
 
 COHORTS = {"optimal": OptimalCohort, "simple": SimpleCohort}
@@ -197,7 +242,7 @@ def test_clearing_one_keep_entry_drops_only_that_colony(algorithm, monkeypatch):
 def test_a_winner_on_an_unsuitable_nest_is_an_engine_error(monkeypatch):
     """Nest 3 has quality 0, so a cohort naming it as the winner is a bug."""
     monkeypatch.setattr(OptimalCohort, "convergence_nest",
-                        lambda self: [3] * (self.nest.size // self.n))
+                        lambda self: [3] * len(self.nest))
     with pytest.raises(EngineError, match="unsuitable nest 3"):
         run([_config("optimal", qualities=(1, 1, 0))], stream_from_key(0))
 
@@ -274,13 +319,13 @@ def test_resolve_round_rejects_unvisited_target():
 
 def test_being_led_marks_nest_visited():
     world = WorldState(2, 2)
-    world.visited[0, 1] = True
-    world.visited[1, 2] = True
+    world.visited[0, 0, 1] = True
+    world.visited[0, 1, 2] = True
     rng = stream_from_key(0)
     for _ in range(30):
         out = resolve_round({0: Recruit(1, 1), 1: Recruit(0, 2)}, world, (1, 1), rng)
         if out[1].nest == 1:
-            assert world.visited[1, 1]
+            assert world.visited[0, 1, 1]
             return
     pytest.fail("waiter was never led away in 30 rounds")
 
@@ -293,7 +338,7 @@ def test_search_results_track_locations():
     tallies = np.bincount([out[a].nest for a in range(50)], minlength=4)
     for a in range(50):
         assert out[a].count == tallies[out[a].nest]
-        assert world.visited[a, out[a].nest]
+        assert world.visited[0, a, out[a].nest]
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -312,10 +357,10 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
     def checked(world, kind, b, target, rng):
         want = shadow.setdefault("visited", world.visited.copy())
         res_nest, res_count, counts, led = resolve(world, kind, b, target, rng)
-        ants = np.arange(world.n)
-        assert world.visited[ants, world.location].all()
-        assert world.visited[ants, res_nest].all()
-        want[ants, world.location] = True
+        ants = np.indices(world.location.shape)
+        assert world.visited[(*ants, world.location)].all()
+        assert world.visited[(*ants, res_nest)].all()
+        want[(*ants, world.location)] = True
         rec = kind == K_RECRUIT
         want[rec, res_nest[rec]] = True
         assert np.array_equal(world.visited, want)
