@@ -12,6 +12,8 @@ ALGORITHMS = ("optimal", "simple")
 # lemma bounds with: c is the failure exponent, d bounds the small-nest size.
 REGIME_C = 1
 REGIME_D = 64
+# "random:p" with more expected draws of k nests than this is rejected
+MAX_QUALITY_DRAWS = 10_000
 
 
 class ConfigError(ValueError):
@@ -79,8 +81,8 @@ def make_qualities(k: int, pattern: str, rng) -> tuple:
     """Build a quality vector from a named pattern.
 
     Patterns: "one-good" (nest 1 suitable, rest not), "all-good", or
-    "random:p" (each nest suitable with probability p, 0 < p <= 1, redrawn
-    until at least one is), drawn from rng.
+    "random:p" (each nest suitable with probability p, redrawn until one
+    is, at most `MAX_QUALITY_DRAWS` times expected), drawn from rng.
     """
     if pattern == "one-good":
         return (1,) + (0,) * (k - 1)
@@ -91,9 +93,11 @@ def make_qualities(k: int, pattern: str, rng) -> tuple:
             p = float(pattern.split(":", 1)[1])
         except ValueError:
             p = math.nan  # rejected below
-        # p <= 0 would redraw forever
         if not 0 < p <= 1:
             raise ConfigError(f"{pattern!r}: p must be a number with 0 < p <= 1")
+        # 1 / expected draws, written so that a tiny p does not round it to 0
+        if p < 1 and -math.expm1(k * math.log1p(-p)) * MAX_QUALITY_DRAWS < 1:
+            raise ConfigError(f"{pattern!r} expects over {MAX_QUALITY_DRAWS} draws at k={k}")
         while True:
             qs = tuple(int(x) for x in (rng.random(k) < p))
             if any(qs):

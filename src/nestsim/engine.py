@@ -2,24 +2,24 @@
 
 `rounds` plays a batch of colonies of one (algorithm, n, k), with one row
 per colony in every per-ant array.  Each round: collect one request per
-ant from the strategy's cohort as arrays, drop every colony with a request
-that breaks the primitive contract (`world.violations`), place searchers
-on uniform random nests, move go-ers, resolve all recruiters in a single
-matching, compute each colony's end-of-round counts, hand the results back
-to the cohort, and ask it for each colony's convergence nest.
-`run` only decides when each colony stops: at its first winner, at its
-round cap, or when its requests break the contract.  A lone run is the
-batch of one colony.
+ant from the strategy's cohort as (kind, target) arrays, drop every colony
+with a request that breaks the primitive contract (`world.violations`),
+place searchers on uniform random nests, move go-ers, resolve all leaders
+and waiters in a single matching, compute each colony's end-of-round
+counts, hand the results back to the cohort, and yield the round's arrays.
+`run` decides on those arrays when each colony stops: at its first winner,
+at its round cap, or when its requests break the contract.  A lone run is
+the batch of one colony.
 
 A batch draws from one stream, in a fixed order each round, so the whole
-batch replays exactly from its stream: (1) the recruit-or-not batch over
+batch replays exactly from its stream: (1) the lead-or-wait batch over
 the active ants of every colony, drawn while collecting requests (simple
 algorithm, recruitment rounds), (2) the search-placement batch over every
 searcher in row-major order, colony after colony (round 1), (3) when
 there are recruiters, the matcher's permutation of all of them and then
 the picks of every active caller, each inside its own colony.  Each is one
-call however many colonies play, and none is made where its batch would
-be empty.
+call however many colonies play, and none draws anything where its batch
+would be empty.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import HOME, K_RECRUIT, K_SEARCH, WorldState, keep_colonies, violations
+from .world import HOME, K_LEAD, K_SEARCH, K_WAIT, WorldState, keep_colonies, violations
 
 
 class EngineError(RuntimeError):
@@ -70,12 +70,35 @@ class ConvergenceReport:
 
 @dataclass
 class Trace:
-    """Per-round records of one run; JSONL-serializable."""
+    """Per-round records of a batch run; JSONL-serializable.
 
-    records: list  # one dict per round
+    `rounds` holds each round's (r, live, counts, tallies, location or
+    None) as `engine.rounds` yielded them.  The records, one dict per colony
+    and round, colony after colony, are built only when read.
+    """
+
+    colonies: int
+    rounds: list
+
+    def _records(self):
+        for t in range(self.colonies):
+            # a colony plays rounds 1, 2, ... until it leaves, and `live` is sorted
+            for r, live, counts, tallies, location in self.rounds:
+                i = live.searchsorted(t)
+                if i == live.size or live[i] != t:
+                    break
+                rec = {"round": r, "counts": counts[i].tolist(),
+                       "states": {name: int(tally[i]) for name, tally in tallies.items()}}
+                if location is not None:
+                    rec["locations"] = location[i].tolist()
+                yield rec
+
+    @property
+    def records(self) -> list:
+        return list(self._records())
 
     def to_jsonl(self) -> str:
-        return "".join(dumps(rec) + "\n" for rec in self.records)
+        return "".join(dumps(rec) + "\n" for rec in self._records())
 
 
 def stream_from_key(*key: int) -> np.random.Generator:
@@ -83,7 +106,7 @@ def stream_from_key(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def _resolve_arrays(world: WorldState, kind, b, target, rng):
+def _resolve_arrays(world: WorldState, kind, target, rng):
     """Apply all moves, run the matcher, compute end-of-round counts.
 
     Returns (res_nest, res_count, counts, led): each ant's result nest and
@@ -103,11 +126,11 @@ def _resolve_arrays(world: WorldState, kind, b, target, rng):
     if searchers.size:
         nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
         seen[searchers, nest[searchers]] = True
-    recruiting = kind == K_RECRUIT
+    recruiting = kind >= K_WAIT  # wait or lead
     rec = np.flatnonzero(recruiting)
     if rec.size:
-        pools = np.count_nonzero(recruiting, axis=1)
-        pairs, returned = match_arrays(b.ravel()[rec] == 1, target.ravel()[rec], rng, pools)
+        lead, pools = kind.ravel()[rec] == K_LEAD, np.count_nonzero(recruiting, axis=1)
+        pairs, returned = match_arrays(lead, target.ravel()[rec], rng, pools)
         nest[rec] = returned
         # being led somewhere counts as having been shown the nest
         followers = rec[pairs[pairs[:, 0] != pairs[:, 1], 1]]
@@ -119,17 +142,19 @@ def _resolve_arrays(world: WorldState, kind, b, target, rng):
     return res_nest, counts[slots], counts.reshape(colonies, k + 1), led
 
 
-def rounds(configs, rng, verbose: bool = False):
+def rounds(configs, rng):
     """Play colonies of one (algorithm, n, k) as one batch on the stream `rng`.
 
-    Each round yields (live, records, winners, keep): the indices into
-    `configs` of the colonies that played it, each one's record and
-    convergence nest after the round, or None, and a fresh all-true bool
-    array over `live`; clearing an entry drops that colony before the next
-    round emits or draws anything for it.  A colony whose
-    requests break the primitive contract leaves without a record for that
-    round.  The generator ends, playing no further round, once every entry
-    is clear or no colony is left; agreement and caps are the caller's.
+    Each round yields (r, live, counts, tallies, location, winners, keep):
+    the round; the indices into `configs` of the colonies that played it;
+    their per-nest populations, state tallies ({name: per-colony array}),
+    ants' locations and convergence nests (0 for none); and a fresh all-true
+    bool array over `live`, where clearing an entry drops that colony before
+    the next round emits or draws anything for it.  No later round writes a
+    yielded array.  A colony whose requests break the primitive contract
+    leaves without a yield for that round.  The generator ends, playing no
+    further round, once every entry is clear or no colony is left;
+    agreement and caps are the caller's.
     """
     n, k, algorithm = configs[0].n, configs[0].k, configs[0].algorithm
     if any((c.n, c.k, c.algorithm) != (n, k, algorithm) for c in configs):
@@ -138,7 +163,7 @@ def rounds(configs, rng, verbose: bool = False):
     world = WorldState(n, k, len(configs))
     live = np.arange(len(configs))
     for r in count(1):
-        kind, b, target = cohort.emit(r, rng)
+        kind, target = cohort.emit(r, rng)
         ok = ~violations(world, kind, target).any(1)
         if not ok.all():
             for obj in (cohort, world):
@@ -146,16 +171,12 @@ def rounds(configs, rng, verbose: bool = False):
             live = live[ok]
             if not live.size:
                 return
-            kind, b, target = kind[ok], b[ok], target[ok]
-        res_nest, res_count, counts, led = _resolve_arrays(world, kind, b, target, rng)
+            kind, target = kind[ok], target[ok]
+        res_nest, res_count, counts, led = _resolve_arrays(world, kind, target, rng)
         cohort.absorb(r, res_nest, res_count, led)
-        records = [{"round": r, "counts": c, "states": s}
-                   for c, s in zip(counts.tolist(), cohort.mode_tallies())]
-        if verbose:
-            for rec, loc in zip(records, world.location.tolist()):
-                rec["locations"] = loc
         keep = np.ones(live.size, dtype=bool)
-        yield live, records, cohort.convergence_nest(), keep
+        yield (r, live, counts, cohort.mode_tallies(), world.location,
+               cohort.convergence_nest(), keep)
         if not keep.any():
             return
         if not keep.all():
@@ -172,21 +193,21 @@ def run(configs, rng, verbose: bool = False):
     at its first round with a winner ("converged"), after its
     `max_rounds` rounds ("round_cap"), or at a round whose requests break
     the primitive contract ("precondition_violation"), and leaves the batch
-    there.  `Trace.records` holds every colony's records, colony after
-    colony.
+    there.  The trace keeps the ants' locations only when `verbose` is set.
     """
-    played = [[] for _ in configs]
-    reports = [None] * len(configs)
-    for live, records, winners, keep in rounds(configs, rng, verbose):
-        for t, rec, winner in zip(live.tolist(), records, winners):
-            played[t].append(rec)
-            if winner is not None:
-                if configs[t].quality(winner) != 1:
-                    raise EngineError(f"converged to unsuitable nest {winner}")
-                reports[t] = ConvergenceReport(True, winner, rec["round"], "converged")
-            elif rec["round"] == configs[t].max_rounds:
-                reports[t] = ConvergenceReport(False, None, None, "round_cap")
-        keep[:] = [reports[t] is None for t in live.tolist()]
-    reports = [rep or ConvergenceReport(False, None, None, "precondition_violation")
-               for rep in reports]
-    return Trace(list(chain.from_iterable(played))), reports
+    quality = np.array([c.qualities for c in configs])
+    caps = np.array([c.max_rounds for c in configs])
+    winning, last, played = np.zeros_like(caps), np.zeros_like(caps), []
+    for r, live, counts, tallies, location, winners, keep in rounds(configs, rng):
+        played.append((r, live, counts, tallies, location if verbose else None))
+        won = winners > 0
+        unsuitable = winners[won][quality[live[won], winners[won] - 1] != 1]
+        if unsuitable.size:
+            raise EngineError(f"converged to unsuitable nest {unsuitable[0]}")
+        winning[live], last[live] = winners, r
+        keep[:] = ~won & (caps[live] != r)
+    reports = [ConvergenceReport(True, int(w), int(r), "converged") if w else
+               ConvergenceReport(False, None, None,
+                                 "round_cap" if r == cap else "precondition_violation")
+               for w, r, cap in zip(winning, last, caps)]
+    return Trace(len(configs), played), reports

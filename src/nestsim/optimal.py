@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH
+from .world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -47,13 +47,9 @@ class OptimalCohort:
         self.count_t = np.zeros(ants, dtype=np.int64)
 
     def emit(self, r: int, rng):
-        ants = self.nest.shape
-        kind = np.empty(ants, dtype=np.int8)
-        b = np.zeros(ants, dtype=np.int8)
-        target = np.zeros(ants, dtype=np.int64)
+        target = self.nest.copy()
         if r == 1:
-            kind[:] = K_SEARCH
-            return kind, b, target
+            return np.full(target.shape, K_SEARCH, dtype=np.int8), target
         sub = subround(r)
         if sub == 1:
             self.block = self.mode.copy()
@@ -61,23 +57,18 @@ class OptimalCohort:
         pas = self.block == PASSIVE
         act = self.block == ACTIVE
 
-        kind[:] = K_GO
-        target[:] = self.nest
-        kind[fin] = K_RECRUIT
-        b[fin] = 1
+        kind = np.full(target.shape, K_GO, dtype=np.int8)
+        kind[fin] = K_LEAD
         if sub == 1:
-            kind[act] = K_RECRUIT
-            b[act] = 1
+            kind[act] = K_LEAD
         elif sub == 2:
-            kind[pas] = K_RECRUIT
+            kind[pas] = K_WAIT
             target[act] = self.nest_t[act]
         elif sub == 3:
-            m = act & (self.branch == 2)
-            kind[m] = K_RECRUIT
+            kind[act & (self.branch == 2)] = K_WAIT
         else:
-            m = act & (self.branch == 1)
-            kind[m] = K_RECRUIT
-        return kind, b, target
+            kind[act & (self.branch == 1)] = K_WAIT
+        return kind, target
 
     def absorb(self, r: int, res_nest, res_count, led):
         if r == 1:
@@ -120,12 +111,11 @@ class OptimalCohort:
 
     def convergence_nest(self):
         """Per colony, its winning nest once every ant is final and committed
-        to it, else None."""
+        to it, else 0."""
         first = self.nest[:, 0]
         won = (self.mode == FINAL).all(1)
         won[won] = (self.nest[won] == first[won, None]).all(1)
-        return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
+        return np.where(won, first, 0)
 
-    def mode_tallies(self) -> list:
-        tallies = [np.count_nonzero(self.mode == m, axis=1).tolist() for m in MODE_NAMES]
-        return [dict(zip(MODE_NAMES.values(), row)) for row in zip(*tallies)]
+    def mode_tallies(self) -> dict:
+        return {name: np.count_nonzero(self.mode == m, 1) for m, name in MODE_NAMES.items()}

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_RECRUIT, K_SEARCH
+from .world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 
 
 class SimpleCohort:
     """All ants' states as parallel arrays, one row per colony.
 
-    Recruit-or-not draws are made as one batch per recruitment round, over
+    Lead-or-wait draws are made as one batch per recruitment round, over
     the currently active ants of every colony in row-major order.
     """
 
@@ -35,22 +35,14 @@ class SimpleCohort:
         self.count = np.zeros(ants, dtype=np.int64)
 
     def emit(self, r: int, rng):
-        ants = self.nest.shape
-        kind = np.empty(ants, dtype=np.int8)
-        b = np.zeros(ants, dtype=np.int8)
-        target = np.zeros(ants, dtype=np.int64)
-        if r == 1:
-            kind[:] = K_SEARCH
-            return kind, b, target
-        target[:] = self.nest
-        if r % 2 == 0:  # recruitment round
-            kind[:] = K_RECRUIT
-            drawn = np.count_nonzero(self.active)
-            if drawn:
-                b[self.active] = rng.random(drawn) < self.count[self.active] / self.n
-        else:  # assessment round
-            kind[:] = K_GO
-        return kind, b, target
+        target = self.nest.copy()
+        if r == 1 or r % 2:  # the search round, then every assessment round
+            return np.full(target.shape, K_SEARCH if r == 1 else K_GO, np.int8), target
+        kind = np.full(target.shape, K_WAIT, np.int8)  # recruitment round
+        # with no active ant the draw is empty and leaves the stream as it is
+        lead = rng.random(np.count_nonzero(self.active)) < self.count[self.active] / self.n
+        kind[self.active] = np.where(lead, K_LEAD, K_WAIT)
+        return kind, target
 
     def absorb(self, r: int, res_nest, res_count, led):
         if r == 1:
@@ -66,13 +58,13 @@ class SimpleCohort:
 
     def convergence_nest(self):
         """Per colony, its winning nest once all its ants are active on one
-        suitable nest, else None."""
+        suitable nest, else 0."""
         first = self.nest[:, 0]
         won = self.active.all(1)
         won[won] = (self.nest[won] == first[won, None]).all(1)
         won &= self.qual[np.arange(first.size), first - 1] == 1
-        return [w if ok else None for w, ok in zip(first.tolist(), won.tolist())]
+        return np.where(won, first, 0)
 
-    def mode_tallies(self) -> list:
-        actives = np.count_nonzero(self.active, axis=1).tolist()
-        return [{"active": a, "passive": self.n - a} for a in actives]
+    def mode_tallies(self) -> dict:
+        actives = np.count_nonzero(self.active, axis=1)
+        return {"active": actives, "passive": self.n - actives}

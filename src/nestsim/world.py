@@ -1,11 +1,11 @@
 """Environment state: ant locations, visit histories, the primitive contract.
 
-Each round every ant issues exactly one request, given as parallel arrays
-over the ants: a kind (search, go or recruit), a recruit flag and a target
-nest.  Go and Recruit are only valid toward a candidate nest the ant has
-already been led to or located at; `violations` is the one check of that
-rule.  Counts returned by the primitives are end-of-round values, computed
-after all location updates of the round.
+Each round every ant issues one request as a (kind, target nest) pair of
+parallel arrays over the ants.  The kinds are the paper's search(), go(i),
+and recruit(b, i) split by its flag into wait (b = 0) and lead (b = 1).
+All but search need a candidate nest the ant has been led to or located
+at; `violations` is the one check of that rule.  Counts returned by the
+primitives are end-of-round values, after all the round's moves.
 
 A batch of colonies of one size holds every per-ant array with one row per
 colony: entry [c, i] is ant i of colony c.
@@ -17,8 +17,8 @@ import numpy as np
 
 HOME = 0
 
-# request kinds, as the strategies' cohorts emit them to the engine
-K_SEARCH, K_GO, K_RECRUIT = 0, 1, 2
+# request kinds, as the cohorts emit them; the two recruit kinds come last
+K_SEARCH, K_GO, K_WAIT, K_LEAD = 0, 1, 2, 3
 
 
 class WorldState:
@@ -42,7 +42,7 @@ def keep_colonies(obj, keep):
 def violations(world: WorldState, kind, target):
     """Per ant: whether its request breaks the primitive contract.
 
-    Search is unconditional.  Go and Recruit need a candidate nest id the
+    Search is unconditional.  Go, wait and lead need a candidate nest id the
     ant has visited before.
     """
     candidate = (target >= 1) & (target <= world.k)

@@ -28,7 +28,7 @@ from nestsim import engine
 from nestsim.engine import _resolve_arrays
 from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
-from nestsim.world import HOME, K_GO, K_RECRUIT, K_SEARCH, WorldState, violations
+from nestsim.world import HOME, K_GO, K_LEAD, K_SEARCH, K_WAIT, WorldState, violations
 
 MAX_EXACT_POOL = 6
 
@@ -109,7 +109,6 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
     if set(requests) != set(range(n)):
         raise PreconditionViolation("need exactly one request per ant")
     kind = np.empty((1, n), dtype=np.int8)
-    b = np.zeros((1, n), dtype=np.int8)
     target = np.zeros((1, n), dtype=np.int64)
     for ant, req in requests.items():
         if isinstance(req, Search):
@@ -118,15 +117,14 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
             kind[0, ant] = K_GO
             target[0, ant] = req.target
         elif isinstance(req, Recruit):
-            kind[0, ant] = K_RECRUIT
-            b[0, ant] = req.active
+            kind[0, ant] = K_LEAD if req.active else K_WAIT
             target[0, ant] = req.target
         else:
             raise PreconditionViolation(f"ant {ant}: unknown request {req!r}")
     violation = validate(world, kind, target)
     if violation is not None:
         raise PreconditionViolation(violation)
-    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, b, target, rng)
+    res_nest, res_count, _counts, led = _resolve_arrays(world, kind, target, rng)
     res_nest, res_count, led = res_nest[0], res_count[0], led[0]
     out = {}
     for ant, req in requests.items():
@@ -150,20 +148,21 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
 def record_rounds(monkeypatch, cohort_cls) -> list:
     """Record every round a `cohort_cls` cohort plays while the patch holds.
 
-    Each round gives one dict: the requests `emit` returned (kind, b,
-    target), the results `absorb` received (res_nest, res_count, led), and
-    `state`, a copy of the cohort's arrays as `absorb` found them.  Every
-    array is recorded flattened in row-major order, so a lone colony's
-    arrays are indexed by ant.
+    Each round gives one dict: the requests `emit` returned (kind and
+    target, plus b, the model's recruit flag, as kind == K_LEAD), the
+    results `absorb` received (res_nest, res_count, led), and `state`, a
+    copy of the cohort's arrays as `absorb` found them.  Every array is
+    recorded flattened in row-major order, so a lone colony's arrays are
+    indexed by ant.
     """
     rounds = []
     emit, absorb = cohort_cls.emit, cohort_cls.absorb
 
     def recording_emit(self, r, rng):
-        kind, b, target = emit(self, r, rng)
-        rounds.append({"round": r, "kind": kind.flatten(), "b": b.flatten(),
+        kind, target = emit(self, r, rng)
+        rounds.append({"round": r, "kind": kind.flatten(), "b": (kind == K_LEAD).flatten(),
                        "target": target.flatten()})
-        return kind, b, target
+        return kind, target
 
     def recording_absorb(self, r, res_nest, res_count, led):
         rounds[-1].update(
@@ -188,16 +187,16 @@ def play_on(configs, rng, more: int) -> list:
 
     The colonies play as one `engine.rounds` batch on the stream `rng`.  A colony leaves it at
     its round cap without a winner, giving (None, []), or `more` rounds
-    after its first winner.
+    after its first winner.  A round without a winner gives None.
     """
     first, after = [None] * len(configs), [[] for _ in configs]
-    for live, records, winners, keep in engine.rounds(configs, rng):
-        for i, (t, rec, winner) in enumerate(zip(live.tolist(), records, winners)):
+    for r, live, _counts, _tallies, _location, winners, keep in engine.rounds(configs, rng):
+        for i, (t, winner) in enumerate(zip(live.tolist(), winners.tolist())):
             if first[t] is None:
-                first[t] = winner
+                first[t] = winner or None
             else:
-                after[t].append(winner)
-            capped = first[t] is None and rec["round"] == configs[t].max_rounds
+                after[t].append(winner or None)
+            capped = first[t] is None and r == configs[t].max_rounds
             keep[i] = not capped and (first[t] is None or len(after[t]) < more)
     return list(zip(first, after))
 

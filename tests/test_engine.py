@@ -8,7 +8,7 @@ from nestsim.config import ColonyConfig
 from nestsim.engine import EngineError, run, stream_from_key
 from nestsim.optimal import OptimalCohort
 from nestsim.simple import SimpleCohort
-from nestsim.world import K_GO, K_RECRUIT, WorldState
+from nestsim.world import K_GO, K_LEAD, K_WAIT, WorldState
 from reference import (
     Go,
     GoResult,
@@ -99,12 +99,12 @@ def test_precondition_violation_stops_the_run(monkeypatch):
     emit = OptimalCohort.emit
 
     def go_somewhere_new(self, r, rng):
-        kind, b, target = emit(self, r, rng)
+        kind, target = emit(self, r, rng)
         if r == 2:
             # after round 1 ant 0 has been at exactly one candidate nest
             kind[0, 0] = K_GO
             target[0, 0] = self.nest[0, 0] % self.qual.shape[1] + 1
-        return kind, b, target
+        return kind, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_somewhere_new)
     trace, (report,) = run([_config("optimal")], stream_from_key(0))
@@ -122,12 +122,12 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
     emit = OptimalCohort.emit
 
     def go_nowhere(self, r, rng):
-        kind, b, target = emit(self, r, rng)
+        kind, target = emit(self, r, rng)
         if r in (2, 6):
             # colony 0's first ant, then the last colony's last ant
             ant = (0, 0) if r == 2 else (-1, -1)
             kind[ant], target[ant] = K_GO, self.qual.shape[1] + 1
-        return kind, b, target
+        return kind, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_nowhere)
     trace, reports = run([config] * 3, stream_from_key(1))
@@ -152,10 +152,10 @@ def test_colony_rows_stay_aligned_when_a_colony_leaves(monkeypatch):
             rows = {name: len(value) for name, value in vars(self).items()
                     if isinstance(value, np.ndarray)}
             seen[r] = self.qual.tolist(), rows
-        kind, b, target = emit(self, r, rng)
+        kind, target = emit(self, r, rng)
         if r == 2:
             kind[0, 0], target[0, 0] = K_GO, 3
-        return kind, b, target
+        return kind, target
 
     monkeypatch.setattr(OptimalCohort, "emit", break_colony_0)
     _, reports = run(configs, stream_from_key(2))
@@ -206,9 +206,9 @@ def test_clearing_every_keep_entry_ends_rounds(algorithm, monkeypatch):
     """Once every entry of `keep` is clear, `rounds` emits no further round."""
     calls = _count_emits(monkeypatch, algorithm)
     played = []
-    for live, records, _winners, keep in engine.rounds(
+    for r, live, *_arrays, keep in engine.rounds(
             [_config(algorithm)] * 2, stream_from_key(0)):
-        played.append([rec["round"] for rec in records])
+        played.append([r] * live.size)
         if len(played) == 3:
             keep[:] = False
     assert played == [[1, 1], [2, 2], [3, 3]]
@@ -223,26 +223,46 @@ def test_clearing_one_keep_entry_drops_only_that_colony(algorithm, monkeypatch):
     n, configs = 64, [_config(algorithm)] * 3
     calls = _count_emits(monkeypatch, algorithm)
     played, won = [[] for _ in configs], [None] * 3
-    for live, records, winners, keep in engine.rounds(configs, stream_from_key(0)):
-        for i, (t, rec, winner) in enumerate(zip(live.tolist(), records, winners)):
-            played[t].append(rec)
-            won[t] = winner
-            keep[i] = winner is None and (t != 1 or rec["round"] < 3)
+    for r, live, _counts, _tallies, _location, winners, keep in engine.rounds(
+            configs, stream_from_key(0)):
+        for i, (t, winner) in enumerate(zip(live.tolist(), winners.tolist())):
+            played[t].append(r)
+            won[t] = winner or None
+            keep[i] = not winner and (t != 1 or r < 3)
     assert len(played[1]) == 3 and won[1] is None
     assert won[0] is not None and won[2] is not None
     last = max(len(played[0]), len(played[2]))
     assert last > 3
-    assert [rec["round"] for rec in played[0] + played[2]] == [
+    assert played[0] + played[2] == [
         *range(1, len(played[0]) + 1), *range(1, len(played[2]) + 1)]
     assert calls[:3] == [(r, 3 * n) for r in (1, 2, 3)]
     assert calls[3] == (4, 2 * n)
     assert [r for r, _ in calls] == list(range(1, last + 1))
 
 
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_no_round_writes_an_array_an_earlier_round_yielded(algorithm):
+    """A `Trace` keeps the arrays `rounds` yields, so no later round may
+    write them.  Each is copied when it is yielded (`keep` after the
+    caller's writes) and compared with the copy once the batch has ended.
+    Colony 1 leaves after round 3, so the rows change shape mid-way."""
+    yielded = []
+    for r, live, counts, tallies, location, winners, keep in engine.rounds(
+            [_config(algorithm)] * 3, stream_from_key(0)):
+        keep[:] = (winners == 0) & ((live != 1) | (r < 3))
+        arrays = (live, counts, *tallies.values(), location, winners, keep)
+        yielded.append((arrays, [a.copy() for a in arrays]))
+    live_in_round_4 = yielded[3][0][0]
+    assert len(yielded) > 4 and live_in_round_4.tolist() == [0, 2]
+    for arrays, copies in yielded:
+        for array, copy in zip(arrays, copies):
+            assert np.array_equal(array, copy)
+
+
 def test_a_winner_on_an_unsuitable_nest_is_an_engine_error(monkeypatch):
     """Nest 3 has quality 0, so a cohort naming it as the winner is a bug."""
     monkeypatch.setattr(OptimalCohort, "convergence_nest",
-                        lambda self: [3] * len(self.nest))
+                        lambda self: np.full(len(self.nest), 3))
     with pytest.raises(EngineError, match="unsuitable nest 3"):
         run([_config("optimal", qualities=(1, 1, 0))], stream_from_key(0))
 
@@ -354,14 +374,14 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
     resolve = engine._resolve_arrays
     shadow = {"rounds": 0}
 
-    def checked(world, kind, b, target, rng):
+    def checked(world, kind, target, rng):
         want = shadow.setdefault("visited", world.visited.copy())
-        res_nest, res_count, counts, led = resolve(world, kind, b, target, rng)
+        res_nest, res_count, counts, led = resolve(world, kind, target, rng)
         ants = np.indices(world.location.shape)
         assert world.visited[(*ants, world.location)].all()
         assert world.visited[(*ants, res_nest)].all()
         want[(*ants, world.location)] = True
-        rec = kind == K_RECRUIT
+        rec = np.isin(kind, (K_WAIT, K_LEAD))
         want[rec, res_nest[rec]] = True
         assert np.array_equal(world.visited, want)
         shadow["rounds"] += 1

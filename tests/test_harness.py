@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from nestsim import cli, harness, lemmas
+from nestsim import cli, engine, harness, lemmas
 from nestsim.config import ColonyConfig, make_qualities
 from nestsim.engine import run, stream_from_key
 from nestsim.harness import (
@@ -149,6 +149,19 @@ def test_batched_trials_replay_their_lone_runs(algorithm, n, monkeypatch):
     assert reasons == {"converged", "round_cap"}
 
 
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_a_sweep_builds_no_trace_record(algorithm, monkeypatch):
+    """`run_cell` reads only the reports, so no trace record is built."""
+    spec = ExperimentSpec(algorithm, (64,), (2, 4), "one-good", trials=6, seed=3)
+    want = [harness.run_cell(spec, 64, k) for k in (2, 4)]
+
+    def refuse(self):
+        raise AssertionError("a sweep built a trace record")
+
+    monkeypatch.setattr(engine.Trace, "_records", refuse)
+    assert [harness.run_cell(spec, 64, k) for k in (2, 4)] == want
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("simple", (), (2,), trials=5, seed=0)
@@ -257,6 +270,9 @@ def test_cli_rejects_bad_seed(name, seed, capsys):
     [
         ["run", "--n", "16", "--k", "2", "--qualities", "random:0"],
         ["run", "--n", "16", "--k", "2", "--qualities", "random:abc"],
+        ["run", "--n", "3", "--k", "2", "--qualities", "random:1e-12"],
+        ["run", "--n", "3", "--k", "2", "--qualities", "random:1e-300"],
+        ["sweep", "--n", "3", "--k", "2", "--qualities", "random:1e-12", "--trials", "2"],
         ["lemma", "eps-init", "--n", "1"],
         ["lemma", "eps-init", "--n", "1", "--mode", "monte-carlo"],
         ["lemma", "ratio-growth", "--sizes", "5"],
@@ -269,7 +285,8 @@ def test_cli_rejects_bad_seed(name, seed, capsys):
         ["sweep", "--n", "-5", "--k", "2", "--trials", "2"],
         ["sweep", "--n", "16", "--k", "-1", "--trials", "2"],
     ],
-    ids=["random-p-zero", "random-p-abc", "eps-init-exact", "eps-init-mc",
+    ids=["random-p-zero", "random-p-abc", "random-p-tiny", "random-p-underflow",
+         "sweep-random-p-tiny", "eps-init-exact", "eps-init-mc",
          "ratio-one-size", "ratio-missing-nest", "nest-delta-empty",
          "nest-delta-empty-cohort", "dropout-negative-small", "sweep-n-zero",
          "sweep-n-negative", "sweep-k-negative"],

@@ -4,7 +4,7 @@ import pytest
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE, OptimalCohort, subround
-from nestsim.world import K_GO, K_RECRUIT, K_SEARCH
+from nestsim.world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 from reference import (
     Go,
     GoResult,
@@ -238,7 +238,7 @@ def test_cohort_matches_per_ant_step(n, k, qualities, key, monkeypatch):
             elif isinstance(req, Go):
                 got = (K_GO, 0, req.target)
             else:
-                got = (K_RECRUIT, req.active, req.target)
+                got = (K_LEAD if req.active else K_WAIT, req.active, req.target)
             want = (
                 int(rec["kind"][ant]),
                 int(rec["b"][ant]),
@@ -269,8 +269,8 @@ def test_schedule_separation(seed, monkeypatch):
         block = rec["state"]["block"]
         kind = rec["kind"]
         b = rec["b"]
-        active_leads = np.any((block == ACTIVE) & (kind == K_RECRUIT) & (b == 1))
-        passive_waits = np.any((block == PASSIVE) & (kind == K_RECRUIT))
+        active_leads = np.any((block == ACTIVE) & (kind == K_LEAD) & (b == 1))
+        passive_waits = np.any((block == PASSIVE) & np.isin(kind, (K_WAIT, K_LEAD)))
         assert not (active_leads and passive_waits), rec["round"]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nestsim.engine import stream_from_key
-from nestsim.world import HOME, K_GO, K_RECRUIT, K_SEARCH, WorldState
+from nestsim.world import HOME, K_GO, K_LEAD, K_SEARCH, K_WAIT, WorldState
 from reference import (
     Go,
     GoResult,
@@ -63,15 +63,17 @@ def test_go_requires_prior_visit():
 
 
 def test_recruit_requires_prior_visit():
-    w = WorldState(3, 2)
-    assert _violation(w, 0, K_RECRUIT, 1) is not None
-    w.visited[0, 0, 1] = True
-    assert _violation(w, 0, K_RECRUIT, 1) is None
+    for kind in (K_WAIT, K_LEAD):
+        w = WorldState(3, 2)
+        assert _violation(w, 0, kind, 1) is not None
+        w.visited[0, 0, 1] = True
+        assert _violation(w, 0, kind, 1) is None
 
 
 def test_recruit_home_rejected():
     w = WorldState(2, 2)
-    assert _violation(w, 0, K_RECRUIT, 0) is not None
+    for kind in (K_WAIT, K_LEAD):
+        assert _violation(w, 0, kind, 0) is not None
 
 
 def test_unknown_request_rejected():

@@ -4,7 +4,7 @@ import pytest
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
 from nestsim.simple import SimpleCohort
-from nestsim.world import K_GO, K_RECRUIT, K_SEARCH
+from nestsim.world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 from reference import (
     Go,
     GoResult,
@@ -165,7 +165,7 @@ def test_cohort_matches_per_ant_step(seed, monkeypatch):
             elif isinstance(req, Go):
                 got = (K_GO, 0, req.target)
             else:
-                got = (K_RECRUIT, req.active, req.target)
+                got = (K_LEAD if req.active else K_WAIT, req.active, req.target)
             want = (
                 int(rec["kind"][ant]),
                 recorded_b,
