@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import harness, lemmas
-from .config import ALGORITHMS, ColonyConfig, ConfigError, load_config_file, make_qualities
+from .config import (ALGORITHMS, ColonyConfig, ConfigError, check_size, load_config_file,
+                     make_qualities)
 from .engine import run, stream_from_key
 
 
@@ -166,6 +167,7 @@ def _config_flags(path) -> list:
 
 
 def cmd_run(args) -> int:
+    check_size(args.n, args.k)  # before make_qualities builds k of anything
     rng = stream_from_key(args.seed)
     qualities = make_qualities(args.k, args.qualities, rng)
     config = ColonyConfig(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,10 +37,7 @@ class ColonyConfig:
     max_rounds: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if self.k < 1:
-            raise ConfigError("k must be a positive integer")
+        check_size(self.n, self.k)
         object.__setattr__(self, "qualities", tuple(int(q) for q in self.qualities))
         if len(self.qualities) != self.k:
             raise ConfigError(f"need exactly {self.k} qualities, got {len(self.qualities)}")
@@ -62,11 +60,14 @@ class ColonyConfig:
                 stacklevel=3,
             )
 
-    def quality(self, i: int) -> int:
-        """Quality of candidate nest i; the home nest (0) has no quality."""
-        if not 1 <= i <= self.k:
-            raise ConfigError(f"nest id {i} out of candidate range 1..{self.k}")
-        return self.qualities[i - 1]
+
+def check_size(n: int, k: int):
+    """Reject n or k below 1, or a colony whose `visited` (n·(k + 1) bytes)
+    and per-ant arrays (128 bytes an ant) exceed physical memory."""
+    if n < 1 or k < 1:
+        raise ConfigError("n and k must be positive integers")
+    if n * (k + 1 + 128) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"a colony of n={n} ants and k={k} nests does not fit in memory")
 
 
 def analyzed_k_limit(algorithm: str, n: int) -> float:

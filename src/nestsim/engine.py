@@ -1,23 +1,23 @@
 """Synchronous round driver.
 
 `rounds` plays a batch of colonies of one (algorithm, n, k), with one row
-per colony in every per-ant array.  Each round: collect one request per
-ant from the strategy's cohort as (kind, target) arrays, drop every colony
+per colony in every per-ant array.  Round 1 is both strategies' search,
+and the cohort starts from its results.  Each later round: collect one
+request per ant from the cohort as (kind, target) arrays, drop every colony
 with a request that breaks the primitive contract (`world.violations`),
-place searchers on uniform random nests, move go-ers, resolve all leaders
-and waiters in a single matching, compute each colony's end-of-round
-counts, hand the results back to the cohort, and yield the round's arrays.
-`run` decides on those arrays when each colony stops: at its first winner,
-at its round cap, or when its requests break the contract.  A lone run is
-the batch of one colony.
+move go-ers, resolve all leaders and waiters in a single matching, compute
+each colony's end-of-round counts, hand the results back to the cohort,
+and yield the round's arrays.  `run` decides on those arrays when each
+colony stops: at its first winner, at its round cap, or when its requests
+break the contract.  A lone run is the batch of one colony.
 
-A batch draws from one stream, in a fixed order each round, so the whole
-batch replays exactly from its stream: (1) the lead-or-wait batch over
-the active ants of every colony, drawn while collecting requests (simple
-algorithm, recruitment rounds), (2) the search-placement batch over every
-searcher in row-major order, colony after colony (round 1), (3) when
-there are recruiters, the matcher's permutation of all of them and then
-the picks of every active caller, each inside its own colony.  Each is one
+A batch draws from one stream, in a fixed order, so the whole batch
+replays exactly from its stream: (1) the search-placement batch over every
+ant in row-major order, colony after colony (round 1), (2) the
+lead-or-wait batch over the active ants of every colony, drawn while
+collecting requests (simple algorithm, recruitment rounds), (3) when there
+are recruiters, the matcher's permutation of all of them and then the
+picks of every active caller, each inside its own colony.  Each is one
 call however many colonies play, and none draws anything where its batch
 would be empty.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import count
 
 import numpy as np
 
@@ -145,12 +144,13 @@ def _resolve_arrays(world: WorldState, kind, target, rng):
 def rounds(configs, rng):
     """Play colonies of one (algorithm, n, k) as one batch on the stream `rng`.
 
-    Each round yields (r, live, counts, tallies, location, winners, keep):
-    the round; the indices into `configs` of the colonies that played it;
-    their per-nest populations, state tallies ({name: per-colony array}),
-    ants' locations and convergence nests (0 for none); and a fresh all-true
-    bool array over `live`, where clearing an entry drops that colony before
-    the next round emits or draws anything for it.  No later round writes a
+    Round 1, every ant's search, is played here and builds the cohort.  Each
+    round yields (r, live, counts, tallies, location, winners, keep): the
+    round; the indices into `configs` of the colonies that played it; their
+    per-nest populations, state tallies ({name: per-colony array}), ants'
+    locations and convergence nests (0 for none); and a fresh all-true bool
+    array over `live`, where clearing an entry drops that colony before the
+    next round emits or draws anything for it.  No later round writes a
     yielded array.  A colony whose requests break the primitive contract
     leaves without a yield for that round.  The generator ends, playing no
     further round, once every entry is clear or no colony is left;
@@ -159,10 +159,25 @@ def rounds(configs, rng):
     n, k, algorithm = configs[0].n, configs[0].k, configs[0].algorithm
     if any((c.n, c.k, c.algorithm) != (n, k, algorithm) for c in configs):
         raise ValueError("a batch needs colonies of one algorithm, n and k")
-    cohort = (OptimalCohort if algorithm == "optimal" else SimpleCohort)(configs)
     world = WorldState(n, k, len(configs))
-    live = np.arange(len(configs))
-    for r in count(1):
+    live, r = np.arange(len(configs)), 1
+    search = np.full(world.location.shape, K_SEARCH, dtype=np.int8)
+    res_nest, res_count, counts, _ = _resolve_arrays(world, search, 0 * world.location, rng)
+    quality = np.array([c.qualities for c in configs])
+    suitable = np.take_along_axis(quality, res_nest - 1, 1) == 1
+    cohort = (OptimalCohort if algorithm == "optimal" else SimpleCohort)(
+        res_nest, res_count, suitable)
+    while True:
+        keep = np.ones(live.size, dtype=bool)
+        yield (r, live, counts, cohort.mode_tallies(), world.location,
+               cohort.convergence_nest(), keep)
+        if not keep.any():
+            return
+        if not keep.all():
+            for obj in (cohort, world):
+                keep_colonies(obj, keep)
+            live = live[keep]
+        r += 1
         kind, target = cohort.emit(r, rng)
         ok = ~violations(world, kind, target).any(1)
         if not ok.all():
@@ -174,15 +189,6 @@ def rounds(configs, rng):
             kind, target = kind[ok], target[ok]
         res_nest, res_count, counts, led = _resolve_arrays(world, kind, target, rng)
         cohort.absorb(r, res_nest, res_count, led)
-        keep = np.ones(live.size, dtype=bool)
-        yield (r, live, counts, cohort.mode_tallies(), world.location,
-               cohort.convergence_nest(), keep)
-        if not keep.any():
-            return
-        if not keep.all():
-            for obj in (cohort, world):
-                keep_colonies(obj, keep)
-            live = live[keep]
 
 
 def run(configs, rng, verbose: bool = False):

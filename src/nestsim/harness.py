@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import lemmas
-from .config import ColonyConfig, ConfigError, make_qualities
+from .config import ColonyConfig, check_size, make_qualities
 from .engine import run, stream_from_key
 
 CSV_SCHEMA = "# nestsim-sweep-csv v1"
@@ -45,8 +45,9 @@ class ExperimentSpec:
             raise ValueError("n_values must be non-empty")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
-        if min((*self.n_values, *self.k_values)) < 1:
-            raise ConfigError("every n and k must be a positive integer")
+        for n in self.n_values:  # every cell, before any is built
+            for k in self.k_values:
+                check_size(n, k)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

@@ -1,6 +1,6 @@
 """Count-based drop-out strategy: O(log n) nest choice.
 
-After a single search round, every ant runs aligned four-round blocks.
+After the engine's search round, every ant runs aligned four-round blocks.
 Ants committed to a competing nest lead recruitments and track their nest's
 population; a population drop makes the whole cohort go passive.  Passive
 ants surface at the home nest once per block to be picked up by finished
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_LEAD, K_SEARCH, K_WAIT
+from .world import K_GO, K_LEAD, K_WAIT
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -35,21 +35,17 @@ class OptimalCohort:
     batch shares, so one subround holds for the whole batch.
     """
 
-    def __init__(self, configs):
-        self.qual = np.array([c.qualities for c in configs], dtype=np.int64)
-        ants = (len(configs), configs[0].n)
-        self.mode = np.full(ants, SEARCH, dtype=np.int8)
-        self.block = np.full(ants, SEARCH, dtype=np.int8)
-        self.nest = np.zeros(ants, dtype=np.int64)
-        self.count = np.zeros(ants, dtype=np.int64)
-        self.branch = np.zeros(ants, dtype=np.int8)
-        self.nest_t = np.zeros(ants, dtype=np.int64)
-        self.count_t = np.zeros(ants, dtype=np.int64)
+    def __init__(self, nest, count, suitable):
+        """Start from each ant's search result: active on a suitable nest, else
+        passive.  Keeps and writes `nest` and `count`: reused buffers come as copies."""
+        self.nest, self.count = nest, count
+        self.mode = np.where(suitable, ACTIVE, PASSIVE).astype(np.int8)
+        self.block = np.full_like(self.mode, SEARCH)  # round 2 starts a block
+        self.branch = np.zeros_like(self.mode)
+        self.nest_t, self.count_t = np.zeros_like(nest), np.zeros_like(count)
 
     def emit(self, r: int, rng):
         target = self.nest.copy()
-        if r == 1:
-            return np.full(target.shape, K_SEARCH, dtype=np.int8), target
         sub = subround(r)
         if sub == 1:
             self.block = self.mode.copy()
@@ -71,12 +67,6 @@ class OptimalCohort:
         return kind, target
 
     def absorb(self, r: int, res_nest, res_count, led):
-        if r == 1:
-            self.nest = res_nest.astype(np.int64)
-            self.count = res_count.astype(np.int64)
-            good = np.take_along_axis(self.qual, self.nest - 1, axis=1) == 1
-            self.mode = np.where(good, ACTIVE, PASSIVE).astype(np.int8)
-            return
         sub = subround(r)
         fin = self.block == FINAL
         pas = self.block == PASSIVE

@@ -1,7 +1,7 @@
 """Population-proportional recruitment strategy: O(k log n) nest choice.
 
-After a single search round, rounds alternate globally between recruitment
-(everyone at the home nest) and assessment (everyone at a candidate nest).
+After the engine's search round, rounds alternate globally between
+recruitment (everyone at the home nest) and assessment (at a candidate).
 An ant committed to a suitable nest leads a recruitment with probability
 count/n, where count is the population it assessed at its nest in the
 previous round; larger nests therefore snowball.  Ants that searched an
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_LEAD, K_SEARCH, K_WAIT
+from .world import K_GO, K_LEAD, K_WAIT
 
 
 class SimpleCohort:
@@ -26,18 +26,16 @@ class SimpleCohort:
     the currently active ants of every colony in row-major order.
     """
 
-    def __init__(self, configs):
-        self.n = configs[0].n
-        self.qual = np.array([c.qualities for c in configs], dtype=np.int64)
-        ants = (len(configs), self.n)
-        self.active = np.ones(ants, dtype=bool)
-        self.nest = np.zeros(ants, dtype=np.int64)
-        self.count = np.zeros(ants, dtype=np.int64)
+    def __init__(self, nest, count, suitable):
+        """Start from each ant's search result: active on a suitable nest.
+        Keeps and writes `nest` and `count`: reused buffers come as copies."""
+        self.n = nest.shape[1]
+        self.nest, self.count, self.active = nest, count, suitable
 
     def emit(self, r: int, rng):
         target = self.nest.copy()
-        if r == 1 or r % 2:  # the search round, then every assessment round
-            return np.full(target.shape, K_SEARCH if r == 1 else K_GO, np.int8), target
+        if r % 2:  # assessment round
+            return np.full(target.shape, K_GO, np.int8), target
         kind = np.full(target.shape, K_WAIT, np.int8)  # recruitment round
         # with no active ant the draw is empty and leaves the stream as it is
         lead = rng.random(np.count_nonzero(self.active)) < self.count[self.active] / self.n
@@ -45,11 +43,6 @@ class SimpleCohort:
         return kind, target
 
     def absorb(self, r: int, res_nest, res_count, led):
-        if r == 1:
-            self.nest = res_nest.astype(np.int64)
-            self.count = res_count.astype(np.int64)
-            self.active = np.take_along_axis(self.qual, self.nest - 1, axis=1) == 1
-            return
         if r % 2 == 0:
             self.nest[led] = res_nest[led]
             self.active |= led
@@ -58,11 +51,10 @@ class SimpleCohort:
 
     def convergence_nest(self):
         """Per colony, its winning nest once all its ants are active on one
-        suitable nest, else 0."""
+        nest, else 0.  An active ant searched or was led to a suitable nest."""
         first = self.nest[:, 0]
         won = self.active.all(1)
         won[won] = (self.nest[won] == first[won, None]).all(1)
-        won &= self.qual[np.arange(first.size), first - 1] == 1
         return np.where(won, first, 0)
 
     def mode_tallies(self) -> dict:

@@ -148,15 +148,29 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
 def record_rounds(monkeypatch, cohort_cls) -> list:
     """Record every round a `cohort_cls` cohort plays while the patch holds.
 
-    Each round gives one dict: the requests `emit` returned (kind and
-    target, plus b, the model's recruit flag, as kind == K_LEAD), the
-    results `absorb` received (res_nest, res_count, led), and `state`, a
-    copy of the cohort's arrays as `absorb` found them.  Every array is
-    recorded flattened in row-major order, so a lone colony's arrays are
-    indexed by ant.
+    Each round gives one dict: the requests (kind and target, plus b, the
+    model's recruit flag, as kind == K_LEAD), the results (res_nest,
+    res_count, led), and `state`, a copy of the cohort's arrays as `absorb`
+    found them.  Round 1, the engine's search, is recorded when the cohort
+    is built from it: every ant searched (target 0), nobody led, and the
+    state is the cohort just built.  Later rounds record what `emit`
+    returned and `absorb` received.  Every array is recorded flattened in
+    row-major order, so a lone colony's arrays are indexed by ant.
     """
     rounds = []
-    emit, absorb = cohort_cls.emit, cohort_cls.absorb
+    init, emit, absorb = cohort_cls.__init__, cohort_cls.emit, cohort_cls.absorb
+
+    def state(cohort):
+        return {name: value.flatten() for name, value in vars(cohort).items()
+                if isinstance(value, np.ndarray)}
+
+    def recording_init(self, nest, count, suitable):
+        init(self, nest, count, suitable)
+        none = np.zeros(nest.size, dtype=bool)
+        rounds.append({"round": 1, "kind": np.full(nest.size, K_SEARCH, dtype=np.int8),
+                       "b": none, "target": np.zeros(nest.size, dtype=np.int64),
+                       "res_nest": nest.flatten(), "res_count": count.flatten(),
+                       "led": none, "state": state(self)})
 
     def recording_emit(self, r, rng):
         kind, target = emit(self, r, rng)
@@ -165,18 +179,11 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
         return kind, target
 
     def recording_absorb(self, r, res_nest, res_count, led):
-        rounds[-1].update(
-            res_nest=res_nest.flatten(),
-            res_count=res_count.flatten(),
-            led=led.flatten(),
-            state={
-                name: value.flatten()
-                for name, value in vars(self).items()
-                if isinstance(value, np.ndarray)
-            },
-        )
+        rounds[-1].update(res_nest=res_nest.flatten(), res_count=res_count.flatten(),
+                          led=led.flatten(), state=state(self))
         absorb(self, r, res_nest, res_count, led)
 
+    monkeypatch.setattr(cohort_cls, "__init__", recording_init)
     monkeypatch.setattr(cohort_cls, "emit", recording_emit)
     monkeypatch.setattr(cohort_cls, "absorb", recording_absorb)
     return rounds

@@ -200,7 +200,7 @@ def test_acceptance_06_correctness_both_algorithms():
             for winner, later in outcomes:
                 if winner is None:
                     continue
-                if config.quality(winner) != 1:
+                if config.qualities[winner - 1] != 1:
                     break
                 # the same colony plays on: the next 20 rounds keep the winner
                 if later != [winner] * 20:

@@ -6,7 +6,7 @@ import pytest
 from nestsim import engine
 from nestsim.config import ColonyConfig
 from nestsim.engine import EngineError, run, stream_from_key
-from nestsim.optimal import OptimalCohort
+from nestsim.optimal import PASSIVE, OptimalCohort
 from nestsim.simple import SimpleCohort
 from nestsim.world import K_GO, K_LEAD, K_WAIT, WorldState
 from reference import (
@@ -51,9 +51,21 @@ def test_winner_is_suitable_and_stable(algorithm):
     outcomes = play_on([config] * 8, stream_from_key(0), 20)
     for winner, later in outcomes:
         assert winner is not None
-        assert config.quality(winner) == 1
+        assert config.qualities[winner - 1] == 1
         # the same colony plays on: the next 20 rounds keep the winner
         assert later == [winner] * 20
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_round_1_is_one_round_for_both_strategies(seed):
+    """Round 1 is the engine's search: under either strategy the same seed
+    places every ant on the same nest."""
+    firsts = [run([_config(algorithm)], stream_from_key(seed), verbose=True)[0].records[0]
+              for algorithm in ("optimal", "simple")]
+    assert firsts[0]["round"] == firsts[1]["round"] == 1
+    assert firsts[0]["counts"] == firsts[1]["counts"]
+    assert firsts[0]["locations"] == firsts[1]["locations"]
+    assert firsts[0]["counts"][0] == 0
 
 
 def test_round_cap_is_reported():
@@ -96,18 +108,18 @@ def test_regime_warning_names_the_caller():
 
 
 def test_precondition_violation_stops_the_run(monkeypatch):
-    emit = OptimalCohort.emit
+    config, emit = _config("optimal"), OptimalCohort.emit
 
     def go_somewhere_new(self, r, rng):
         kind, target = emit(self, r, rng)
         if r == 2:
             # after round 1 ant 0 has been at exactly one candidate nest
             kind[0, 0] = K_GO
-            target[0, 0] = self.nest[0, 0] % self.qual.shape[1] + 1
+            target[0, 0] = self.nest[0, 0] % config.k + 1
         return kind, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_somewhere_new)
-    trace, (report,) = run([_config("optimal")], stream_from_key(0))
+    trace, (report,) = run([config], stream_from_key(0))
     assert not report.converged
     assert report.reason == "precondition_violation"
     assert report.winning_nest is None
@@ -126,7 +138,7 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
         if r in (2, 6):
             # colony 0's first ant, then the last colony's last ant
             ant = (0, 0) if r == 2 else (-1, -1)
-            kind[ant], target[ant] = K_GO, self.qual.shape[1] + 1
+            kind[ant], target[ant] = K_GO, config.k + 1
         return kind, target
 
     monkeypatch.setattr(OptimalCohort, "emit", go_nowhere)
@@ -142,7 +154,8 @@ def test_a_violating_colony_leaves_the_batch_alone(monkeypatch):
 def test_colony_rows_stay_aligned_when_a_colony_leaves(monkeypatch):
     """Colony 0 breaks the contract in round 2.  From round 3 on, every
     array of the cohort has one row per live colony, colonies 1 and 2 keep
-    their own rows, and each converges to its own good nest."""
+    their own rows (every non-passive ant of a row sits on that colony's
+    one good nest), and each converges to its own good nest."""
     qualities = [(1, 0), (0, 1), (1, 0)]
     configs = [_config("optimal", k=2, qualities=q) for q in qualities]
     emit, seen = OptimalCohort.emit, {}
@@ -151,7 +164,9 @@ def test_colony_rows_stay_aligned_when_a_colony_leaves(monkeypatch):
         if r > 2:
             rows = {name: len(value) for name, value in vars(self).items()
                     if isinstance(value, np.ndarray)}
-            seen[r] = self.qual.tolist(), rows
+            nests = [set(nest[mode != PASSIVE].tolist())
+                     for nest, mode in zip(self.nest, self.mode)]
+            seen[r] = nests, rows
         kind, target = emit(self, r, rng)
         if r == 2:
             kind[0, 0], target[0, 0] = K_GO, 3
@@ -163,11 +178,12 @@ def test_colony_rows_stay_aligned_when_a_colony_leaves(monkeypatch):
         "precondition_violation", "converged", "converged"]
     assert [rep.winning_nest for rep in reports[1:]] == [2, 1]
     assert max(seen) == max(rep.rounds_to_converge for rep in reports[1:])
-    arrays = [name for name, value in vars(OptimalCohort(configs)).items()
-              if isinstance(value, np.ndarray)]
-    for r, (qual, rows) in seen.items():
+    ones = np.ones((3, configs[0].n), dtype=np.int64)
+    built = OptimalCohort(ones, configs[0].n * ones, ones == 1)
+    arrays = [name for name, value in vars(built).items() if isinstance(value, np.ndarray)]
+    for r, (nests, rows) in seen.items():
         live = [t for t in (1, 2) if reports[t].rounds_to_converge >= r]
-        assert qual == [list(qualities[t]) for t in live]
+        assert nests == [{qualities[t].index(1) + 1} for t in live]
         assert rows == dict.fromkeys(arrays, len(live))
 
 
@@ -212,7 +228,8 @@ def test_clearing_every_keep_entry_ends_rounds(algorithm, monkeypatch):
         if len(played) == 3:
             keep[:] = False
     assert played == [[1, 1], [2, 2], [3, 3]]
-    assert calls == [(r, 128) for r in (1, 2, 3)]
+    # round 1 is the engine's search, so `emit` is first called in round 2
+    assert calls == [(r, 128) for r in (2, 3)]
 
 
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])
@@ -235,9 +252,10 @@ def test_clearing_one_keep_entry_drops_only_that_colony(algorithm, monkeypatch):
     assert last > 3
     assert played[0] + played[2] == [
         *range(1, len(played[0]) + 1), *range(1, len(played[2]) + 1)]
-    assert calls[:3] == [(r, 3 * n) for r in (1, 2, 3)]
-    assert calls[3] == (4, 2 * n)
-    assert [r for r, _ in calls] == list(range(1, last + 1))
+    # round 1 is the engine's search, so `emit` is first called in round 2
+    assert calls[:2] == [(r, 3 * n) for r in (2, 3)]
+    assert calls[2] == (4, 2 * n)
+    assert [r for r, _ in calls] == list(range(2, last + 1))
 
 
 @pytest.mark.parametrize("algorithm", ["optimal", "simple"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from nestsim import cli, engine, harness, lemmas
-from nestsim.config import ColonyConfig, make_qualities
+from nestsim.config import ColonyConfig, ConfigError, make_qualities
 from nestsim.engine import run, stream_from_key
 from nestsim.harness import (
     CSV_SCHEMA,
@@ -189,6 +189,26 @@ def test_cli_run_usage_error():
     assert cli.main(["run", "--algo", "nope"]) == 2
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", str(10**12)],
+    ["run", "--k", str(10**12)],
+    ["sweep", "--n", f"64,{10**12}"],
+])
+def test_inputs_too_large_to_allocate_exit_2(argv, monkeypatch, capsys):
+    """A colony whose arrays cannot fit in memory is an exit-2 error raised
+    before anything of size n or k is built; the builders are stubbed to
+    fail, so even a missing check allocates nothing here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a colony that cannot fit")
+
+    for module, name in ((cli, "make_qualities"), (cli, "run"), (harness, "run_cell")):
+        monkeypatch.setattr(module, name, refuse)
+    assert cli.main(argv) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="does not fit in memory"):
+        ColonyConfig(10**12, 2, (1, 0), "simple")
 
 
 # each subcommand's minimal argv and every flag's dest and default, as the

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nestsim import lemmas
+from nestsim import engine, lemmas
+from nestsim.engine import stream_from_key
 from nestsim.lemmas import (
     ScenarioError,
     ScenarioSpec,
@@ -15,6 +16,8 @@ from nestsim.lemmas import (
     ratio_growth,
     recruit_success_rate,
 )
+from nestsim.simple import SimpleCohort
+from nestsim.world import WorldState
 
 
 def test_scenario_spec_validation():
@@ -149,6 +152,34 @@ def test_ratio_growth_rejects_missing_nest():
         ratio_growth(4096, 1, (2000, 2096), 20, 0)
     with pytest.raises(ScenarioError):
         _profile_commitments(8, 2, {3: 4})
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("trials", [1, 4])
+@pytest.mark.parametrize(
+    "n, k, sizes", [(4096, 2, {1: 2400, 2: 1696}), (4096, 4, {1: 16}), (64, 3, {1: 30, 2: 20})],
+)
+def test_recruit_cycle_is_the_simple_cohort_s_recruitment_round(n, k, sizes, trials, seed):
+    """The lab's recruitment round equals the shipped `simple` cohort's.
+
+    A cohort built from the profile, every ant active and counting its
+    nest's population, plays one recruitment round (round 2) through the
+    engine's resolve.  Its commitments equal `_one_recruit_cycle`'s byte
+    for byte, and both leave the stream in the same state."""
+    commit0 = _profile_commitments(n, k, sizes)
+    populations = np.bincount(commit0, minlength=k + 1)[commit0]
+    cohort = SimpleCohort(np.tile(commit0, (trials, 1)), np.tile(populations, (trials, 1)),
+                          np.ones((trials, n), dtype=bool))
+    world = WorldState(n, k, trials)
+    world.visited[:] = True
+    shipped, lab = stream_from_key(seed), stream_from_key(seed)
+    kind, target = cohort.emit(2, shipped)
+    res_nest, res_count, _counts, led = engine._resolve_arrays(world, kind, target, shipped)
+    cohort.absorb(2, res_nest, res_count, led)
+    want = lemmas._one_recruit_cycle(np.tile(commit0, (trials, 1)), n, k, lab)
+    assert (cohort.nest.dtype, cohort.nest.shape) == (want.dtype, want.shape)
+    assert cohort.nest.tobytes() == want.tobytes()
+    assert shipped.bit_generator.state == lab.bit_generator.state
 
 
 def test_ratio_growth_grows_the_gap():
