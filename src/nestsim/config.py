@@ -15,6 +15,7 @@ REGIME_C = 1
 REGIME_D = 64
 # "random:p" with more expected draws of k nests than this is rejected
 MAX_QUALITY_DRAWS = 10_000
+ANT_BYTES = 128  # bytes of per-ant arrays a round or a matcher call holds: a floor
 
 
 class ConfigError(ValueError):
@@ -61,13 +62,18 @@ class ColonyConfig:
             )
 
 
+def check_fits(nbytes: int, what: str):
+    """Reject `what`, whose arrays take `nbytes`, if they exceed physical memory."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{what} does not fit in memory")
+
+
 def check_size(n: int, k: int):
     """Reject n or k below 1, or a colony whose `visited` (n·(k + 1) bytes)
-    and per-ant arrays (128 bytes an ant) exceed physical memory."""
+    and per-ant arrays (ANT_BYTES an ant) exceed physical memory."""
     if n < 1 or k < 1:
         raise ConfigError("n and k must be positive integers")
-    if n * (k + 1 + 128) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ConfigError(f"a colony of n={n} ants and k={k} nests does not fit in memory")
+    check_fits(n * (k + 1 + ANT_BYTES), f"a colony of n={n} ants and k={k} nests")
 
 
 def analyzed_k_limit(algorithm: str, n: int) -> float:

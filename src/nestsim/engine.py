@@ -120,11 +120,11 @@ def _resolve_arrays(world: WorldState, kind, target, rng):
     led = np.zeros(target.shape, dtype=bool)
     # the matcher resolves the union of every colony's recruiters, so moves
     # index flat views of the rows in row-major order
-    nest, seen = res_nest.ravel(), world.visited.reshape(res_nest.size, k + 1)
+    nest, seen = res_nest.ravel(), world.visited.ravel()
     searchers = np.flatnonzero(kind == K_SEARCH)
     if searchers.size:
         nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
-        seen[searchers, nest[searchers]] = True
+        seen[searchers * (k + 1) + nest[searchers]] = True
     recruiting = kind >= K_WAIT  # wait or lead
     rec = np.flatnonzero(recruiting)
     if rec.size:
@@ -132,9 +132,9 @@ def _resolve_arrays(world: WorldState, kind, target, rng):
         pairs, returned = match_arrays(lead, target.ravel()[rec], rng, pools)
         nest[rec] = returned
         # being led somewhere counts as having been shown the nest
-        followers = rec[pairs[pairs[:, 0] != pairs[:, 1], 1]]
+        followers = rec[pairs[:, 1].compress(pairs[:, 0] != pairs[:, 1])]
         led.ravel()[followers] = True
-        seen[followers, nest[followers]] = True
+        seen[followers * (k + 1) + nest[followers]] = True
     world.location = np.where(recruiting, HOME, res_nest)
     slots = world.location + (k + 1) * np.arange(colonies)[:, None]
     counts = np.bincount(slots.ravel(), minlength=colonies * (k + 1))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import REGIME_C, REGIME_D
+from .config import ANT_BYTES, REGIME_C, REGIME_D, check_fits
 from .engine import dumps, stream_from_key
 from .matching import match_arrays
 
@@ -89,9 +89,9 @@ def _check_trials(trials):
 
 
 def _chunks(trials, m):
-    """Trials in each successive chunk for pools of m ants."""
+    """Trials in each successive chunk for pools of m ants, drawn lazily."""
     per = max(1, UNION_ANTS // m)
-    return [min(per, trials - t) for t in range(0, trials, per)]
+    return (min(per, trials - t) for t in range(0, trials, per))
 
 
 def _bernoulli_se(p: float, trials: int) -> float:
@@ -152,6 +152,7 @@ def ignorance_retention(n: int, trials: int, seed: int) -> EstimateReport:
     if n < 1:
         raise ScenarioError("n must be positive")
     _check_trials(trials)
+    check_fits(ANT_BYTES * n, f"a pool of n={n} ants")
     if n == 1:
         return EstimateReport(
             name="ignorance-retention",
@@ -294,8 +295,8 @@ def initial_gap_expectation(
     throws n ants into k nests and averages the gap of nests (1, 2) over the
     both-nonzero samples, reporting the excluded mass.
     """
-    if n < 2 or k < 2:
-        raise ScenarioError("the gap of a nest pair needs n >= 2 and k >= 2")
+    if not 2 <= n < 2**63 or k < 2:  # n ants are counted in int64
+        raise ScenarioError("the gap of a nest pair needs 2 <= n < 2**63 and k >= 2")
     bound = Fraction(1, 3 * (n - 1))
     if mode == "exact":
         if k != 2 or not 2 <= n <= 30:
@@ -330,6 +331,8 @@ def initial_gap_expectation(
     if mode != "monte-carlo":
         raise ScenarioError(f"unknown mode {mode!r}")
     _check_trials(trials)
+    # trials x k int64 counts, a k-entry list of p, and a few floats a trial
+    check_fits(8 * (trials + 2) * (k + 5), f"{trials} trials over k={k} nests")
     rng = stream_from_key(seed)
     counts = rng.multinomial(n, [1.0 / k] * k, size=trials)
     c1 = counts[:, 0].astype(np.float64)
@@ -352,20 +355,23 @@ def initial_gap_expectation(
     )
 
 
-def _profile_commitments(n: int, k: int, sizes_by_nest: dict) -> np.ndarray:
+def _profile_commitments(n: int, k: int, sizes_by_nest: dict, trials: int = 1) -> np.ndarray:
     """Commitment array for a configured population profile.
 
     Nests named in sizes_by_nest get exactly that many ants; remaining ants
-    are spread as evenly as possible over the unnamed candidate nests.
+    are spread as evenly as possible over the unnamed candidate nests.  The
+    k nest ids and a chunk of `_one_recruit_cycle` must fit in memory.
     """
+    t = next(_chunks(trials, n))
+    check_fits(24 * k + t * (ANT_BYTES * n + 8 * (k + 1)), f"n={n} ants over k={k} nests")
     if any(not 1 <= nest <= k for nest in sizes_by_nest):
         raise ScenarioError(f"profile names a nest outside the candidates 1..{k}")
     total_named = sum(sizes_by_nest.values())
     if total_named > n:
         raise ScenarioError("profile exceeds the colony size")
-    rest = [i for i in range(1, k + 1) if i not in sizes_by_nest]
+    rest = np.setdiff1d(np.arange(1, k + 1), list(sizes_by_nest), assume_unique=True)
     leftover = n - total_named
-    if leftover and not rest:
+    if leftover and not rest.size:
         raise ScenarioError("profile leaves ants without a nest")
     named = np.repeat(list(sizes_by_nest), list(sizes_by_nest.values()))
     return np.concatenate([named, np.resize(rest, leftover)]).astype(np.int64)
@@ -404,7 +410,7 @@ def ratio_growth(
     threshold = n / (REGIME_D * k)
     if s1 < threshold or s2 < threshold:
         raise ScenarioError(f"both sizes must be >= n/(dk) = {threshold:.1f}")
-    commit0 = _profile_commitments(n, k, {1: s1, 2: s2})
+    commit0 = _profile_commitments(n, k, {1: s1, 2: s2}, trials)
     eps_before = float(_eps(s1, s2)) if min(s1, s2) > 0 else 0.0
     rng = stream_from_key(seed)
     eps_after = []
@@ -464,7 +470,7 @@ def dropout_time(
             bounds={"round_bound": bound_rounds, "quota": 0.99},
             notes=["nest starts empty: dropout at round 0"],
         )
-    commit0 = _profile_commitments(n, k, {1: small})
+    commit0 = _profile_commitments(n, k, {1: small}, trials)
     rng = stream_from_key(seed)
     emptied = []
     # the per-cycle population changes of a trial sum to its end minus its start

@@ -29,7 +29,10 @@ free.  A dropped edge is one the loop would reach with an end taken.  The
 lowest remaining edge is accepted every round, so the rounds end; on these
 random graphs they end after a handful.  The loop itself, one ant at a
 time, is kept as the test oracle `match_loop` in `tests/reference.py`,
-which also enumerates the exact outcome distribution on tiny pools.
+which also enumerates the exact outcome distribution on tiny pools.  The
+rounds compact their edges through index sets (`nonzero`, then integer
+indexing), as numpy 2.4 indexes 50 000 entries with a random boolean mask
+of 15-50% density about 4 times slower than `nonzero` plus the gather.
 
 `match_arrays` resolves pools laid back to back in one call and pays the
 fixed cost once: one permutation of the whole union, and one batch of
@@ -59,29 +62,30 @@ def match_core(active, perm, picks):
     itself for a self-pair.
     """
     m = perm.size
-    # edge e is the e-th active ant in permutation order, so e is its priority
-    src = perm[active[perm]]
+    # an edge's priority is its owner's position in the permutation
+    pri = active[perm].nonzero()[0]
+    src = perm[pri]
     dst = picks[src]
-    pri = np.arange(src.size)
     recruiter = np.full(m, -1, dtype=np.int64)
     free = np.ones(m, dtype=bool)
-    # only entries at a remaining edge's ends are read, so only those are reset
-    lowest = np.empty(m, dtype=np.int64)
+    # only a remaining edge's ends are read: src ends are written each round,
+    # and dst ends start at m and are reset to it at the end of each round
+    lowest = np.full(m, m, dtype=np.int64)
     while src.size:
         # lowest remaining priority at each end; an ant owns at most one edge
-        lowest[dst] = m
         lowest[src] = pri
         np.minimum.at(lowest, dst, pri)
         # both ends hold at most pri, so the smaller is pri iff both are
-        win = np.minimum(lowest[src], lowest[dst]) == pri
+        win = (np.minimum(lowest[src], lowest[dst]) == pri).nonzero()[0]
         a, x = src[win], dst[win]
         recruiter[x] = a
         if a.size == src.size:  # every remaining edge was taken
             break
         free[a] = False
         free[x] = False
-        keep = free[src] & free[dst]
+        keep = (free[src] & free[dst]).nonzero()[0]
         src, dst, pri = src[keep], dst[keep], pri[keep]
+        lowest[dst] = m
     return recruiter
 
 
@@ -116,7 +120,7 @@ def match_arrays(active, targets, rng, pool=None):
             high = pool[owner]
             start = ends[owner] - high
         else:
-            high, start = pool, callers // pool * pool
+            high, start = pool, callers // pool * pool if pool < m else 0
         picks[callers] = rng.integers(0, high, size=callers.size) + start
     recruiter = match_core(active, perm, picks)
     led = (recruiter >= 0).nonzero()[0]

@@ -17,10 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_LEAD, K_WAIT
+from .world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 
 SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
 MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
+
+# request kind by (subround - 1, block mode, branch): the single-ant step's cases
+KIND = np.full((4, 4, 4), K_GO, dtype=np.int8)
+KIND[:, SEARCH] = K_SEARCH
+KIND[:, FINAL] = KIND[0, ACTIVE] = K_LEAD
+KIND[1, PASSIVE] = KIND[2, ACTIVE, 2] = KIND[3, ACTIVE, 1] = K_WAIT
 
 
 def subround(r: int) -> int:
@@ -49,55 +55,39 @@ class OptimalCohort:
         sub = subround(r)
         if sub == 1:
             self.block = self.mode.copy()
-        fin = self.block == FINAL
-        pas = self.block == PASSIVE
-        act = self.block == ACTIVE
-
-        kind = np.full(target.shape, K_GO, dtype=np.int8)
-        kind[fin] = K_LEAD
-        if sub == 1:
-            kind[act] = K_LEAD
         elif sub == 2:
-            kind[pas] = K_WAIT
-            target[act] = self.nest_t[act]
-        elif sub == 3:
-            kind[act & (self.branch == 2)] = K_WAIT
-        else:
-            kind[act & (self.branch == 1)] = K_WAIT
-        return kind, target
+            act = np.flatnonzero(self.block == ACTIVE)
+            target.ravel()[act] = self.nest_t.take(act)
+        return KIND[sub - 1].take(self.block * 4 + self.branch), target
 
     def absorb(self, r: int, res_nest, res_count, led):
         sub = subround(r)
-        fin = self.block == FINAL
-        pas = self.block == PASSIVE
-        act = self.block == ACTIVE
-        self.nest[fin] = res_nest[fin]
+        fin = np.flatnonzero(self.block == FINAL)
+        act = np.flatnonzero(self.block == ACTIVE)
+        self.nest.ravel()[fin] = res_nest.take(fin)
         if sub == 1:
-            self.nest_t[act] = res_nest[act]
+            self.nest_t.ravel()[act] = res_nest.take(act)
         elif sub == 2:
             # a final ant's pick turns a passive one final, even on its own nest
-            picked = pas & led
-            self.nest[picked] = res_nest[picked]
-            self.mode[picked] = FINAL
-            self.count_t[act] = res_count[act]
-            same = self.nest_t == self.nest
-            c1 = act & same & (self.count_t >= self.count)
-            c2 = act & same & (self.count_t < self.count)
-            c3 = act & ~same
-            self.branch[c1] = 1
-            self.count[c1] = self.count_t[c1]
-            self.branch[c2] = 2
-            self.mode[c2] = PASSIVE
-            self.branch[c3] = 3
-            self.nest[c3] = self.nest_t[c3]
+            picked = np.flatnonzero((self.block == PASSIVE) & led)
+            self.nest.ravel()[picked] = res_nest.take(picked)
+            self.mode.ravel()[picked] = FINAL
+            nest_t, count, count_t = (x.take(act) for x in (self.nest_t, self.count, res_count))
+            self.count_t.ravel()[act] = count_t
+            same, drop = nest_t == self.nest.take(act), count_t < count
+            # case 1: same nest, no drop; case 2: same nest, a drop; case 3: a new nest
+            self.branch.ravel()[act] = np.where(same, 1 + drop, 3)
+            self.count.ravel()[act] = np.where(same & ~drop, count_t, count)
+            self.mode.ravel()[act.compress(same & drop)] = PASSIVE
+            self.nest.ravel()[act] = nest_t  # case 3 joins nest_t, which cases 1 and 2 hold
         elif sub == 3:
-            joined = act & (self.branch == 3)
-            self.count[joined] = res_count[joined]
-            drop = joined & (res_count < self.count_t)
-            self.mode[drop] = PASSIVE
+            joined = act.compress(self.branch.take(act) == 3)
+            count = res_count.take(joined)
+            self.count.ravel()[joined] = count
+            self.mode.ravel()[joined.compress(count < self.count_t.take(joined))] = PASSIVE
         else:
-            done = act & (self.branch == 1) & (res_count == self.count)
-            self.mode[done] = FINAL
+            done = (self.branch.take(act) == 1) & (res_count.take(act) == self.count.take(act))
+            self.mode.ravel()[act.compress(done)] = FINAL
 
     def convergence_nest(self):
         """Per colony, its winning nest once every ant is final and committed
@@ -108,4 +98,4 @@ class OptimalCohort:
         return np.where(won, first, 0)
 
     def mode_tallies(self) -> dict:
-        return {name: np.count_nonzero(self.mode == m, 1) for m, name in MODE_NAMES.items()}
+        return {name: (self.mode == m).sum(1) for m, name in MODE_NAMES.items()}

@@ -38,16 +38,19 @@ class SimpleCohort:
             return np.full(target.shape, K_GO, np.int8), target
         kind = np.full(target.shape, K_WAIT, np.int8)  # recruitment round
         # with no active ant the draw is empty and leaves the stream as it is
-        lead = rng.random(np.count_nonzero(self.active)) < self.count[self.active] / self.n
-        kind[self.active] = np.where(lead, K_LEAD, K_WAIT)
+        act = np.flatnonzero(self.active)
+        lead = rng.random(act.size) < self.count.take(act) / self.n
+        kind.ravel()[act.compress(lead)] = K_LEAD
         return kind, target
 
     def absorb(self, r: int, res_nest, res_count, led):
         if r % 2 == 0:
-            self.nest[led] = res_nest[led]
+            moved = np.flatnonzero(led)
+            self.nest.ravel()[moved] = res_nest.take(moved)
             self.active |= led
         else:
-            self.count[self.active] = res_count[self.active]
+            act = np.flatnonzero(self.active)
+            self.count.ravel()[act] = res_count.take(act)
 
     def convergence_nest(self):
         """Per colony, its winning nest once all its ants are active on one

@@ -45,8 +45,7 @@ def violations(world: WorldState, kind, target):
     Search is unconditional.  Go, wait and lead need a candidate nest id the
     ant has visited before.
     """
-    candidate = (target >= 1) & (target <= world.k)
-    # a target off the candidate range reads some in-range cell; `candidate` masks it
-    ants = np.arange(kind.size).reshape(kind.shape)
-    seen = world.visited.take(ants * (world.k + 1) + target, mode="clip")
-    return (kind != K_SEARCH) & ~(candidate & seen)
+    cell = np.arange(0, kind.size * (world.k + 1), world.k + 1).reshape(kind.shape) + target
+    # a target off the candidate range reads some in-range cell; the range check masks it
+    ok = world.visited.take(cell, mode="clip") & (target >= 1) & (target <= world.k)
+    return (kind != K_SEARCH) > ok  # not a search, and not ok

@@ -211,6 +211,44 @@ def test_inputs_too_large_to_allocate_exit_2(argv, monkeypatch, capsys):
         ColonyConfig(10**12, 2, (1, 0), "simple")
 
 
+class _Refuse:
+    """A numpy stand-in for the lemma lab: building any array fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"built np.{name} for inputs that cannot fit")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lemma", "retention", "--n", str(10**12)], "does not fit in memory"),
+    (["lemma", "ratio-growth", "--n", str(10**12), "--sizes", f"{10**11},{10**11}"],
+     "does not fit in memory"),
+    (["lemma", "ratio-growth", "--k", str(10**12), "--sizes", "2400,1696"],
+     "does not fit in memory"),
+    (["lemma", "dropout", "--n", str(10**12)], "does not fit in memory"),
+    # a k that passes the small-nest limit n/(dk) needs a large n as well
+    (["lemma", "dropout", "--n", str(64 * 10**10), "--k", str(10**10), "--small", "1"],
+     "does not fit in memory"),
+    (["lemma", "eps-init", "--mode", "monte-carlo", "--k", str(10**12)],
+     "does not fit in memory"),
+    (["lemma", "eps-init", "--mode", "monte-carlo", "--trials", str(10**12)],
+     "does not fit in memory"),
+    (["lemma", "eps-init", "--mode", "monte-carlo", "--n", str(2**63)], "n < 2**63"),
+], ids=["retention-n", "ratio-growth-n", "ratio-growth-k", "dropout-n", "dropout-n-k",
+        "eps-init-k", "eps-init-trials", "eps-init-n"])
+def test_lemma_inputs_too_large_to_allocate_exit_2(argv, message, monkeypatch, capsys):
+    """Each estimator's flags are sized before it builds anything: numpy, the
+    matcher and the stream are stubbed to fail in the lemma lab, so even a
+    missing check allocates nothing here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew for inputs that cannot fit")
+
+    monkeypatch.setattr(lemmas, "np", _Refuse())
+    monkeypatch.setattr(lemmas, "match_arrays", refuse)
+    monkeypatch.setattr(lemmas, "stream_from_key", refuse)
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 # each subcommand's minimal argv and every flag's dest and default, as the
 # parser built them before the shared flags moved into parent parsers
 CLI_SURFACE = {

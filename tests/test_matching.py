@@ -180,10 +180,16 @@ _REVERSED = list(range(_M))[::-1]
 @example(pool=([False] * _M, _TARGETS, _REVERSED, [0] * _M))
 @example(pool=(_ALL_ACTIVE, _TARGETS, _REVERSED, list(range(_M))))
 @example(pool=(_ALL_ACTIVE, _TARGETS, _REVERSED, [i ^ 1 for i in range(_M)]))
+@example(pool=([True] * 8, [1] * 8, list(range(8))[::-1], [1, 2, 3, 4, 5, 6, 7, 7]))
+@example(pool=([True] * 6, [1, 2, 3, 1, 2, 3], list(range(6)), [1, 0, 1, 1, 2, 3]))
 @settings(max_examples=150, deadline=None)
 def test_match_core_equals_match_loop(pool):
     # the examples: one ant; nobody active; every ant picks itself; every
-    # ant picks its partner in a mutual pair a <-> a^1
+    # ant picks its partner in a mutual pair a <-> a^1; a path i -> i + 1
+    # whose priorities fall along it, so each greedy round accepts only its
+    # lowest edge and drops the next (4 rounds); edges 1-3 meet ant 0's
+    # edge, the lowest, at ant 0 or 1, and edges 4 and 5 meet edges 2 and 3,
+    # so the first round accepts only the lowest edge and the second two
     active, targets, perm, picks = pool
     recruiter = match_core(
         np.array(active, dtype=bool),
@@ -276,11 +282,12 @@ def unions(draw):
 @example(union=((128,), 2, 0.3))
 @example(union=((0, 3, 0, 5, 130), 3, 1.0))
 @example(union=((0, 0, 7, 2, 0), 4, 0.3))
+@example(union=((6, 0, 6), 5, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_pooled_call_equals_match_loop_pool_by_pool(union):
     # the examples: one ant; single ants; nobody active; unions of 124 and
     # 128 ants in pools of 4; one pool of 128 ants; unequal pools with
-    # empty ones first, between and last
+    # empty ones first, between and last; an empty pool between two of one size
     sizes, seed, share = union
     m = sum(sizes)
     setup = stream_from_key(seed, len(sizes), m)

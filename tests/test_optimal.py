@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
-from nestsim.optimal import ACTIVE, FINAL, PASSIVE, OptimalCohort, subround
+from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH, OptimalCohort, subround
 from nestsim.world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 from reference import (
     Go,
@@ -203,6 +205,32 @@ def test_committed_nest():
     assert s.nest == 0
     states, _ = drive([SearchResult(nest=2, quality=1, count=3)])
     assert states[-1].nest == 2
+
+
+def test_emit_gives_the_per_ant_request_in_every_cell():
+    """Each of the 64 (subround, block mode, branch) cells emits the kind and
+    target the single-ant step emits; a search's target is not read."""
+    cells = list(itertools.product((SEARCH, ACTIVE, PASSIVE, FINAL), range(4)))
+    block, branch = (np.array([column], dtype=np.int8) for column in zip(*cells))
+    nest = np.arange(1, len(cells) + 1)[None]
+    for sub in (1, 2, 3, 4):
+        cohort = OptimalCohort(nest.copy(), nest.copy(), np.ones(nest.shape, dtype=bool))
+        # subround 1 latches the block from the mode, the later ones keep it
+        cohort.mode, cohort.block, cohort.branch = block.copy(), block.copy(), branch.copy()
+        cohort.nest_t = nest + 100
+        kind, target = cohort.emit(sub + 1, stream_from_key(0))
+        assert subround(sub + 1) == sub
+        for ant, (blk, br) in enumerate(cells):
+            _, req = optimal_step(OptimalAntState(
+                mode=blk, nest=ant + 1, nest_t=ant + 101,
+                block=None if sub == 1 else blk, sub=sub, branch=br))
+            if isinstance(req, Search):
+                want = (K_SEARCH, int(target[0, ant]))
+            elif isinstance(req, Go):
+                want = (K_GO, req.target)
+            else:
+                want = (K_LEAD if req.active else K_WAIT, req.target)
+            assert (kind[0, ant], target[0, ant]) == want, (sub, blk, br)
 
 
 def _recorded_run(monkeypatch, n, k, qualities, *key):
