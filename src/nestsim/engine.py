@@ -3,13 +3,13 @@
 `rounds` plays a batch of colonies of one (algorithm, n, k), with one row
 per colony in every per-ant array.  Round 1 is both strategies' search,
 and the cohort starts from its results.  Each later round: collect one
-request per ant from the cohort as (kind, target) arrays, drop every colony
-with a request that breaks the primitive contract (`world.violations`),
-move go-ers, resolve all leaders and waiters in a single matching, compute
-each colony's end-of-round counts, hand the results back to the cohort,
-and yield the round's arrays.  `run` decides on those arrays when each
-colony stops: at its first winner, at its round cap, or when its requests
-break the contract.  A lone run is the batch of one colony.
+request per ant from the cohort as fresh (kind, target) arrays, drop every
+colony whose requests break the primitive contract (`world.violations`),
+move go-ers, match all leaders and waiters at once, write each ant's
+result nest into `target`, count each colony's populations, hand the
+results and the led ants' indices to the cohort, and yield the round's
+arrays.  `run` stops each colony at its first winner, its round cap, or a
+request that breaks the contract.  A lone run is the batch of one colony.
 
 A batch draws from one stream, in a fixed order, so the whole batch
 replays exactly from its stream: (1) the search-placement batch over every
@@ -110,31 +110,30 @@ def _resolve_arrays(world: WorldState, kind, target, rng):
 
     Returns (res_nest, res_count, counts, led): each ant's result nest and
     count, each colony's per-nest populations as a (colonies, k + 1) array,
-    and whether another ant led it.  Visits grow only by searching and by
-    being led: `violations` found every go target visited, and recruiters
-    end the round at the home nest.
+    and the sorted flat int64 indices of the ants another ant led away.
+    `res_nest` is `target`, the round's own C-ordered array, written in
+    place.  Visits grow only by searching and by being led: `violations`
+    found every go target visited, and recruiters end the round at home.
     """
     k = world.k
     colonies = len(target)
-    res_nest = target.copy()
-    led = np.zeros(target.shape, dtype=bool)
     # the matcher resolves the union of every colony's recruiters, so moves
     # index flat views of the rows in row-major order
-    nest, seen = res_nest.ravel(), world.visited.ravel()
+    res_nest, nest, seen = target, target.ravel(), world.visited.ravel()
     searchers = np.flatnonzero(kind == K_SEARCH)
     if searchers.size:
         nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
         seen[searchers * (k + 1) + nest[searchers]] = True
     recruiting = kind >= K_WAIT  # wait or lead
-    rec = np.flatnonzero(recruiting)
+    led = rec = np.flatnonzero(recruiting)  # nobody is led where nobody recruits
     if rec.size:
         lead, pools = kind.ravel()[rec] == K_LEAD, np.count_nonzero(recruiting, axis=1)
-        pairs, returned = match_arrays(lead, target.ravel()[rec], rng, pools)
-        nest[rec] = returned
-        # being led somewhere counts as having been shown the nest
-        followers = rec[pairs[:, 1].compress(pairs[:, 0] != pairs[:, 1])]
-        led.ravel()[followers] = True
-        seen[followers * (k + 1) + nest[followers]] = True
+        pairs, returned = match_arrays(lead, nest[rec], rng, pools)
+        # a non-self pair moves its led ant and shows it the nest; pairs come in led order
+        moved = pairs[:, 1].compress(pairs[:, 0] != pairs[:, 1])
+        led = rec[moved]
+        nest[led] = returned[moved]
+        seen[led * (k + 1) + nest[led]] = True
     world.location = np.where(recruiting, HOME, res_nest)
     slots = world.location + (k + 1) * np.arange(colonies)[:, None]
     counts = np.bincount(slots.ravel(), minlength=colonies * (k + 1))
@@ -153,8 +152,8 @@ def rounds(configs, rng):
     next round emits or draws anything for it.  No later round writes a
     yielded array.  A colony whose requests break the primitive contract
     leaves without a yield for that round.  The generator ends, playing no
-    further round, once every entry is clear or no colony is left;
-    agreement and caps are the caller's.
+    further round, once every entry is clear or no colony is left.  An
+    unsuitable winner raises `EngineError`; agreement and caps are the caller's.
     """
     n, k, algorithm = configs[0].n, configs[0].k, configs[0].algorithm
     if any((c.n, c.k, c.algorithm) != (n, k, algorithm) for c in configs):
@@ -168,9 +167,11 @@ def rounds(configs, rng):
     cohort = (OptimalCohort if algorithm == "optimal" else SimpleCohort)(
         res_nest, res_count, suitable)
     while True:
-        keep = np.ones(live.size, dtype=bool)
-        yield (r, live, counts, cohort.mode_tallies(), world.location,
-               cohort.convergence_nest(), keep)
+        winners, keep = cohort.convergence_nest(), np.ones(live.size, dtype=bool)
+        unsuitable = winners[(winners > 0) & (quality[live, winners - 1] != 1)]
+        if unsuitable.size:
+            raise EngineError(f"converged to unsuitable nest {unsuitable[0]}")
+        yield r, live, counts, cohort.mode_tallies(), world.location, winners, keep
         if not keep.any():
             return
         if not keep.all():
@@ -201,17 +202,12 @@ def run(configs, rng, verbose: bool = False):
     the primitive contract ("precondition_violation"), and leaves the batch
     there.  The trace keeps the ants' locations only when `verbose` is set.
     """
-    quality = np.array([c.qualities for c in configs])
     caps = np.array([c.max_rounds for c in configs])
     winning, last, played = np.zeros_like(caps), np.zeros_like(caps), []
     for r, live, counts, tallies, location, winners, keep in rounds(configs, rng):
         played.append((r, live, counts, tallies, location if verbose else None))
-        won = winners > 0
-        unsuitable = winners[won][quality[live[won], winners[won] - 1] != 1]
-        if unsuitable.size:
-            raise EngineError(f"converged to unsuitable nest {unsuitable[0]}")
         winning[live], last[live] = winners, r
-        keep[:] = ~won & (caps[live] != r)
+        keep[:] = (winners == 0) & (caps[live] != r)
     reports = [ConvergenceReport(True, int(w), int(r), "converged") if w else
                ConvergenceReport(False, None, None,
                                  "round_cap" if r == cap else "precondition_violation")

@@ -60,6 +60,7 @@ class ScenarioSpec:
         if any(c < 1 for _, c, _ in groups):
             raise ScenarioError("group counts must be positive")
         _check_trials(self.trials)
+        check_fits(ANT_BYTES * sum(c for _, c, _ in groups), "the scenario's pool of ants")
 
     def pool(self):
         """(active_flags, targets, group_index) arrays for the matcher pool."""

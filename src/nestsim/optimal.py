@@ -38,7 +38,8 @@ class OptimalCohort:
     """All ants' states as parallel arrays, one row per colony.
 
     The blocks are aligned on the round number, which every colony of a
-    batch shares, so one subround holds for the whole batch.
+    batch shares, so one subround holds for the whole batch.  `emit`
+    returns fresh arrays, which the engine's round owns and writes into.
     """
 
     def __init__(self, nest, count, suitable):
@@ -61,6 +62,7 @@ class OptimalCohort:
         return KIND[sub - 1].take(self.block * 4 + self.branch), target
 
     def absorb(self, r: int, res_nest, res_count, led):
+        """Take a round's results; `led` holds the flat indices of the ants led away."""
         sub = subround(r)
         fin = np.flatnonzero(self.block == FINAL)
         act = np.flatnonzero(self.block == ACTIVE)
@@ -69,7 +71,7 @@ class OptimalCohort:
             self.nest_t.ravel()[act] = res_nest.take(act)
         elif sub == 2:
             # a final ant's pick turns a passive one final, even on its own nest
-            picked = np.flatnonzero((self.block == PASSIVE) & led)
+            picked = led.compress(self.block.take(led) == PASSIVE)
             self.nest.ravel()[picked] = res_nest.take(picked)
             self.mode.ravel()[picked] = FINAL
             nest_t, count, count_t = (x.take(act) for x in (self.nest_t, self.count, res_count))

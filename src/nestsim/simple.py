@@ -23,7 +23,8 @@ class SimpleCohort:
     """All ants' states as parallel arrays, one row per colony.
 
     Lead-or-wait draws are made as one batch per recruitment round, over
-    the currently active ants of every colony in row-major order.
+    the currently active ants of every colony in row-major order.  `emit`
+    returns fresh arrays, which the engine's round owns and writes into.
     """
 
     def __init__(self, nest, count, suitable):
@@ -44,10 +45,10 @@ class SimpleCohort:
         return kind, target
 
     def absorb(self, r: int, res_nest, res_count, led):
+        """Take a round's results; `led` holds the flat indices of the ants led away."""
         if r % 2 == 0:
-            moved = np.flatnonzero(led)
-            self.nest.ravel()[moved] = res_nest.take(moved)
-            self.active |= led
+            self.nest.ravel()[led] = res_nest.take(led)
+            self.active.ravel()[led] = True
         else:
             act = np.flatnonzero(self.active)
             self.count.ravel()[act] = res_count.take(act)

@@ -125,7 +125,7 @@ def resolve_round(requests: dict, world: WorldState, qualities, rng) -> dict:
     if violation is not None:
         raise PreconditionViolation(violation)
     res_nest, res_count, _counts, led = _resolve_arrays(world, kind, target, rng)
-    res_nest, res_count, led = res_nest[0], res_count[0], led[0]
+    res_nest, res_count, led = res_nest[0], res_count[0], np.isin(np.arange(n), led)
     out = {}
     for ant, req in requests.items():
         if isinstance(req, Search):
@@ -150,12 +150,13 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
 
     Each round gives one dict: the requests (kind and target, plus b, the
     model's recruit flag, as kind == K_LEAD), the results (res_nest,
-    res_count, led), and `state`, a copy of the cohort's arrays as `absorb`
-    found them.  Round 1, the engine's search, is recorded when the cohort
-    is built from it: every ant searched (target 0), nobody led, and the
-    state is the cohort just built.  Later rounds record what `emit`
-    returned and `absorb` received.  Every array is recorded flattened in
-    row-major order, so a lone colony's arrays are indexed by ant.
+    res_count, and led as a per-ant mask), and `state`, a copy of the
+    cohort's arrays as `absorb` found them.  Round 1, the engine's search,
+    is recorded when the cohort is built from it: every ant searched
+    (target 0), nobody led, and the state is the cohort just built.  Later
+    rounds record what `emit` returned and `absorb` received.  Every array
+    is recorded flattened in row-major order, so a lone colony's arrays are
+    indexed by ant.
     """
     rounds = []
     init, emit, absorb = cohort_cls.__init__, cohort_cls.emit, cohort_cls.absorb
@@ -180,7 +181,7 @@ def record_rounds(monkeypatch, cohort_cls) -> list:
 
     def recording_absorb(self, r, res_nest, res_count, led):
         rounds[-1].update(res_nest=res_nest.flatten(), res_count=res_count.flatten(),
-                          led=led.flatten(), state=state(self))
+                          led=np.isin(np.arange(res_nest.size), led), state=state(self))
         absorb(self, r, res_nest, res_count, led)
 
     monkeypatch.setattr(cohort_cls, "__init__", recording_init)

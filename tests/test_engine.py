@@ -8,7 +8,7 @@ from nestsim.config import ColonyConfig
 from nestsim.engine import EngineError, run, stream_from_key
 from nestsim.optimal import PASSIVE, OptimalCohort
 from nestsim.simple import SimpleCohort
-from nestsim.world import K_GO, K_LEAD, K_WAIT, WorldState
+from nestsim.world import K_GO, K_LEAD, K_SEARCH, K_WAIT, WorldState
 from reference import (
     Go,
     GoResult,
@@ -277,12 +277,55 @@ def test_no_round_writes_an_array_an_earlier_round_yielded(algorithm):
             assert np.array_equal(array, copy)
 
 
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_emit_returns_arrays_the_round_owns(algorithm, monkeypatch):
+    """A round writes its results into the `target` that `emit` returned, so
+    no array `emit` returns may share memory with an array of the cohort or
+    of the world.  Checked in every round of a batch of 3 colonies."""
+    cohort_cls = OptimalCohort if algorithm == "optimal" else SimpleCohort
+    emit, make_world, worlds, emitted = cohort_cls.emit, engine.WorldState, [], []
+
+    def world(*args):
+        worlds.append(make_world(*args))
+        return worlds[-1]
+
+    def owned(self, r, rng):
+        out = emit(self, r, rng)
+        held = [value for obj in (self, *worlds) for value in vars(obj).values()
+                if isinstance(value, np.ndarray)]
+        assert not any(np.shares_memory(a, b) for a in out for b in held)
+        emitted.append(r)
+        return out
+
+    monkeypatch.setattr(engine, "WorldState", world)
+    monkeypatch.setattr(cohort_cls, "emit", owned)
+    _, reports = run([_config(algorithm)] * 3, stream_from_key(4))
+    last = max(report.rounds_to_converge for report in reports)
+    assert len(worlds) == 1 and emitted == list(range(2, last + 1))
+
+
 def test_a_winner_on_an_unsuitable_nest_is_an_engine_error(monkeypatch):
-    """Nest 3 has quality 0, so a cohort naming it as the winner is a bug."""
+    """Nest 3 has quality 0 in `bad` alone, so a cohort naming it as the
+    winner there is a bug.  `rounds` raises it itself, so `run` and every
+    other caller get the check, and it reads the qualities of the colonies
+    still in the batch."""
+    good, bad = (_config("optimal", qualities=q) for q in ((1, 1, 1), (1, 1, 0)))
     monkeypatch.setattr(OptimalCohort, "convergence_nest",
                         lambda self: np.full(len(self.nest), 3))
     with pytest.raises(EngineError, match="unsuitable nest 3"):
-        run([_config("optimal", qualities=(1, 1, 0))], stream_from_key(0))
+        run([bad], stream_from_key(0))
+    with pytest.raises(EngineError, match="unsuitable nest 3"):
+        next(engine.rounds([good, bad], stream_from_key(0)))
+    # a winner only once one colony is left: fine for `good`, a bug for `bad`
+    monkeypatch.setattr(OptimalCohort, "convergence_nest",
+                        lambda self: np.full(len(self.nest), 3 * (len(self.nest) == 1)))
+    batch = engine.rounds([good, bad], stream_from_key(0))
+    next(batch)[-1][1] = False  # `bad` leaves
+    assert next(batch)[5].tolist() == [3]
+    batch = engine.rounds([good, bad], stream_from_key(0))
+    next(batch)[-1][0] = False  # `good` leaves
+    with pytest.raises(EngineError, match="unsuitable nest 3"):
+        next(batch)
 
 
 def test_stream_from_key_contract():
@@ -386,14 +429,23 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
 
     Each round every ant has visited where it stands and its result nest,
     and `visited` equals what a write over every ant's location plus every
-    recruiter's result nest gives.  The two sizes give the matcher pools of
-    up to 64 and up to 256 recruiters.
+    recruiter's result nest gives.  `led` is the sorted, unique int64 set
+    of the flat positions whose recruiter is another ant, and every other
+    ant that did not search keeps its target as its result nest.  The two
+    sizes give the matcher pools of up to 64 and up to 256 recruiters.
     """
-    resolve = engine._resolve_arrays
+    resolve, match = engine._resolve_arrays, engine.match_arrays
     shadow = {"rounds": 0}
+
+    def matched(*args):
+        out = match(*args)
+        shadow["pairs"] = out[0]
+        return out
 
     def checked(world, kind, target, rng):
         want = shadow.setdefault("visited", world.visited.copy())
+        shadow["pairs"] = np.empty((0, 2), dtype=np.int64)  # a round without recruiters
+        asked = target.copy()
         res_nest, res_count, counts, led = resolve(world, kind, target, rng)
         ants = np.indices(world.location.shape)
         assert world.visited[(*ants, world.location)].all()
@@ -402,9 +454,19 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
         rec = np.isin(kind, (K_WAIT, K_LEAD))
         want[rec, res_nest[rec]] = True
         assert np.array_equal(world.visited, want)
+        # the matcher's pool positions are the recruiters' flat positions
+        pool, recruiter = np.flatnonzero(rec), np.full(kind.size, -1)
+        recruiter[pool[shadow["pairs"][:, 1]]] = pool[shadow["pairs"][:, 0]]
+        others = np.flatnonzero((recruiter >= 0) & (recruiter != np.arange(kind.size)))
+        assert led.dtype == np.int64 and np.array_equal(led, np.unique(led))
+        assert np.array_equal(led, others)
+        kept = kind.ravel() != K_SEARCH
+        kept[led] = False
+        assert np.array_equal(res_nest.ravel()[kept], asked.ravel()[kept])
         shadow["rounds"] += 1
         return res_nest, res_count, counts, led
 
+    monkeypatch.setattr(engine, "match_arrays", matched)
     monkeypatch.setattr(engine, "_resolve_arrays", checked)
     trace, (report,) = run([_config(algorithm, n=n, k=4, qualities=(1, 0, 1, 1))],
                            stream_from_key(n))

@@ -233,8 +233,12 @@ class _Refuse:
     (["lemma", "eps-init", "--mode", "monte-carlo", "--trials", str(10**12)],
      "does not fit in memory"),
     (["lemma", "eps-init", "--mode", "monte-carlo", "--n", str(2**63)], "n < 2**63"),
+    (["lemma", "recruit-success", "--active", str(10**12)], "does not fit in memory"),
+    (["lemma", "recruit-success", "--passive", str(10**12)], "does not fit in memory"),
+    (["lemma", "nest-delta", "--sizes", f"{10**12},1"], "does not fit in memory"),
 ], ids=["retention-n", "ratio-growth-n", "ratio-growth-k", "dropout-n", "dropout-n-k",
-        "eps-init-k", "eps-init-trials", "eps-init-n"])
+        "eps-init-k", "eps-init-trials", "eps-init-n", "recruit-success-active",
+        "recruit-success-passive", "nest-delta-sizes"])
 def test_lemma_inputs_too_large_to_allocate_exit_2(argv, message, monkeypatch, capsys):
     """Each estimator's flags are sized before it builds anything: numpy, the
     matcher and the stream are stubbed to fail in the lemma lab, so even a
