@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 ALGORITHMS = ("optimal", "simple")
@@ -52,14 +51,6 @@ class ColonyConfig:
             object.__setattr__(self, "max_rounds", default_max_rounds(self.n, self.k))
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be positive")
-        limit = analyzed_k_limit(self.algorithm, self.n)
-        if self.k > limit:
-            warnings.warn(
-                f"k={self.k} exceeds the analyzed regime for the {self.algorithm} "
-                f"algorithm at n={self.n} (limit ~{limit:.2f}); convergence bounds "
-                "are not guaranteed",
-                stacklevel=3,
-            )
 
 
 def check_fits(nbytes: int, what: str):

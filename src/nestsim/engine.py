@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import analyzed_k_limit
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
@@ -62,6 +63,8 @@ class ConvergenceReport:
     winning_nest: int | None
     rounds_to_converge: int | None
     reason: str  # converged | round_cap | precondition_violation
+    in_analyzed_regime: bool  # k <= k_limit
+    k_limit: float  # config.analyzed_k_limit(algorithm, n)
 
     def to_json(self) -> str:
         return dumps(asdict(self))
@@ -201,15 +204,19 @@ def run(configs, rng, verbose: bool = False):
     `max_rounds` rounds ("round_cap"), or at a round whose requests break
     the primitive contract ("precondition_violation"), and leaves the batch
     there.  The trace keeps the ants' locations only when `verbose` is set.
+    Every report says whether the batch's k lies in the regime the paper
+    analyzes at its n.
     """
+    limit = analyzed_k_limit(configs[0].algorithm, configs[0].n)
+    regime = {"in_analyzed_regime": configs[0].k <= limit, "k_limit": limit}
     caps = np.array([c.max_rounds for c in configs])
     winning, last, played = np.zeros_like(caps), np.zeros_like(caps), []
     for r, live, counts, tallies, location, winners, keep in rounds(configs, rng):
         played.append((r, live, counts, tallies, location if verbose else None))
         winning[live], last[live] = winners, r
         keep[:] = (winners == 0) & (caps[live] != r)
-    reports = [ConvergenceReport(True, int(w), int(r), "converged") if w else
-               ConvergenceReport(False, None, None,
-                                 "round_cap" if r == cap else "precondition_violation")
+    reports = [ConvergenceReport(True, int(w), int(r), "converged", **regime) if w else
+               ConvergenceReport(False, None, None, "round_cap" if r == cap else
+                                 "precondition_violation", **regime)
                for w, r, cap in zip(winning, last, caps)]
     return Trace(len(configs), played), reports

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_LEAD, K_SEARCH, K_WAIT
+from .world import K_GO, K_LEAD, K_WAIT
 
-SEARCH, ACTIVE, PASSIVE, FINAL = 0, 1, 2, 3
-MODE_NAMES = {SEARCH: "search", ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
+ACTIVE, PASSIVE, FINAL = 0, 1, 2
+MODE_NAMES = {ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
 
 # request kind by (subround - 1, block mode, branch): the single-ant step's cases
-KIND = np.full((4, 4, 4), K_GO, dtype=np.int8)
-KIND[:, SEARCH] = K_SEARCH
+KIND = np.full((4, 3, 4), K_GO, dtype=np.int8)
 KIND[:, FINAL] = KIND[0, ACTIVE] = K_LEAD
 KIND[1, PASSIVE] = KIND[2, ACTIVE, 2] = KIND[3, ACTIVE, 1] = K_WAIT
 
@@ -47,7 +46,7 @@ class OptimalCohort:
         passive.  Keeps and writes `nest` and `count`: reused buffers come as copies."""
         self.nest, self.count = nest, count
         self.mode = np.where(suitable, ACTIVE, PASSIVE).astype(np.int8)
-        self.block = np.full_like(self.mode, SEARCH)  # round 2 starts a block
+        self.block = self.mode.copy()  # subround 1, at round 2, latches it anew
         self.branch = np.zeros_like(self.mode)
         self.nest_t, self.count_t = np.zeros_like(nest), np.zeros_like(count)
 

@@ -27,7 +27,7 @@ import numpy as np
 from nestsim import engine
 from nestsim.engine import _resolve_arrays
 from nestsim.matching import match_arrays
-from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH
+from nestsim.optimal import ACTIVE, FINAL, PASSIVE
 from nestsim.world import HOME, K_GO, K_LEAD, K_SEARCH, K_WAIT, WorldState, violations
 
 MAX_EXACT_POOL = 6
@@ -210,6 +210,11 @@ def play_on(configs, rng, more: int) -> list:
 
 
 # --- optimal: one ant's drop-out strategy ---
+
+# the per-ant step's round-1 search: a mode of its own, which the cohort,
+# starting from the engine's search, never holds
+SEARCH = -1
+
 
 @dataclass
 class OptimalAntState:

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nestsim import engine
-from nestsim.config import ColonyConfig
+from nestsim import cli, engine
+from nestsim.config import ColonyConfig, analyzed_k_limit
 from nestsim.engine import EngineError, run, stream_from_key
 from nestsim.optimal import PASSIVE, OptimalCohort
 from nestsim.simple import SimpleCohort
@@ -19,6 +19,7 @@ from reference import (
     SearchResult,
     play_on,
     resolve_round,
+    strict_json,
 )
 
 
@@ -98,13 +99,26 @@ def test_a_batch_needs_one_algorithm_n_and_k():
             run([_config("optimal"), other], stream_from_key(0))
 
 
-def test_regime_warning_names_the_caller():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_the_report_names_the_analyzed_regime(tmp_path):
+    """Every report says whether k lies within `analyzed_k_limit(algorithm, n)`;
+    `optimal` crosses k = 4 between n = 616 and 617, and no config warns."""
+    for algo, n, regime in (("optimal", 616, False), ("optimal", 617, True),
+                            ("simple", 64, False)):
+        out = tmp_path / f"{algo}-{n}.jsonl"
+        cli.main(["run", "--algo", algo, "--n", str(n), "--k", "4", "--out", str(out)])
+        report = strict_json(out.with_suffix(".report.json").read_text(encoding="utf-8"))
+        assert report["in_analyzed_regime"] is regime
+        assert report["k_limit"] == analyzed_k_limit(algo, n)
+        if algo == "optimal":
+            for line in out.read_text(encoding="utf-8").splitlines():
+                assert set(strict_json(line)["states"]) == {"active", "passive", "final"}
+    configs = [_config("optimal", n=617, k=4, qualities=q) for q in ((1, 0, 0, 0), (1, 1, 1, 1))]
+    _, reports = run(configs, stream_from_key(0))
+    assert [(r.in_analyzed_regime, r.k_limit) for r in reports] == [
+        (True, analyzed_k_limit("optimal", 617))] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ColonyConfig(n=64, k=4, qualities=(1, 1, 1, 1), algorithm="optimal")
-    (warning,) = caught
-    assert "exceeds the analyzed regime" in str(warning.message)
-    assert warning.filename == __file__
 
 
 def test_precondition_violation_stops_the_run(monkeypatch):

@@ -72,30 +72,30 @@ GOLDEN = {
     "lemma-ratio-growth": "74c7954cebea108486cd11c204b158e3270946fabbcc7f407e7a512b038813fe",
     "lemma-recruit-success": "c0663bfd810a9387bbbada006509b54d7c8d2fe0d48596d1002641d3f2ca82f0",
     "lemma-retention": "e51dff94973194ba49234a55b029139439c101cf9097d841811f2491b208ac6a",
-    "run-optimal-n256-all-good-s1": "d228b841a4424bf43cf97151d72ce3da08a7e06c30fa2d2361d50d2c0a1e9f56",
-    "run-optimal-n256-all-good-s2": "d81be3d4871e59055c83595d8e8981bc2e5c6dd7d0b54174e085e9cbbec89653",
-    "run-optimal-n256-one-good-s1": "23baa4fab05df443fafb5f1276a364d7cba301cd9822587240c0b8214fbd2206",
-    "run-optimal-n256-one-good-s2": "49b42813999fc0ff2707b7e8e803e08afb1ce8225f4536328f87bfc4fc9e2869",
-    "run-optimal-n4096-all-good-s1": "1b53fd6027c126495950f6276340456e808383ff6a55c1fc9313c1c200516f45",
-    "run-optimal-n4096-all-good-s2": "7b0c9e3bf627605d782720a1f01094c0f9023972600e120b005804c156e5427d",
-    "run-optimal-n4096-one-good-s1": "220e542ede2480aa2dfa1e896220480ef43b45b4d06e326ec3ce28561d5e93ee",
-    "run-optimal-n4096-one-good-s2": "b5545410174aacfc76806ec3c6b3a1042d2059c78dd02efb8f49710d6fed6e9d",
-    "run-optimal-n64-all-good-s1": "a202d8e213ece7b2067bf26b12b69bb7929dfadd7f7bc513cbc24e639cb281ee",
-    "run-optimal-n64-all-good-s2": "3ce399aac4e573937f6bd4d0031a3809ad4720a9492c727a9bfeb21763452933",
-    "run-optimal-n64-one-good-s1": "fd0dffa5437d81104ca9c32753cd239d67cfa260797efdf92e01dcc79a6534df",
-    "run-optimal-n64-one-good-s2": "4a35d691eaeb0f546462a90d9fa49621e481bca757153476eb81c6c7c9821c63",
-    "run-simple-n256-all-good-s1": "644fac881844497a9a896b026827ea541b573984b63db8be6c172ec1df884e54",
-    "run-simple-n256-all-good-s2": "8a75809e741a219de2f76ce254394ffd12a1ad5b53f33665b0da134c7095178f",
-    "run-simple-n256-one-good-s1": "0c475388c3be99d97402ace25c82573e453478f0e80cebeba48f366c0549ab0a",
-    "run-simple-n256-one-good-s2": "fdd82257977d27937e17e131e31000f190d13a5d1aa290a2ee0ae5947c9b89ea",
-    "run-simple-n4096-all-good-s1": "403daa0aeb7db7781bb35096d4bb10923cf830bf657bc4c960fea81bdaf195ad",
-    "run-simple-n4096-all-good-s2": "3bc7ac5a32e7972f359b422b557884a72f90f49e17855d554788a7e27f2173e3",
-    "run-simple-n4096-one-good-s1": "4f69b02d23d972ac132440aa74b214711ea5ac53368d03e89c8a4c6c05458fc5",
-    "run-simple-n4096-one-good-s2": "86a0e35d59cdb590adabe95859da434a4a2377358ab98ffefbcac735c6e46f70",
-    "run-simple-n64-all-good-s1": "c62ddd17fef1526f8196ce619a4ecaa9e60844ebb0e2c281fd84efe8c059c1b8",
-    "run-simple-n64-all-good-s2": "7fa4db5d982c401a919f95e68827dc36872efab283b99a02d9b6cac03245c100",
-    "run-simple-n64-one-good-s1": "df1f55682e5014254517e0ee59541995ab53e47e379c611f9eeaad9ddf39d5f1",
-    "run-simple-n64-one-good-s2": "fc132b22147bbba5a64814ee7caacd502d34715723bbdefc767261978a90130f",
+    "run-optimal-n256-all-good-s1": "bb90ba152487dd68196a2faf2f382486093b25892ab0463df47dbf63f3dbe32f",
+    "run-optimal-n256-all-good-s2": "7980215a2f2edb20b0386cd367f726145a206f35948c7cd6331e3b998599555b",
+    "run-optimal-n256-one-good-s1": "de196af50594a0dcd89077c2949b684bc1b55a5d158268a09c07af0e9a6ba16b",
+    "run-optimal-n256-one-good-s2": "d7cbb1f9c90428d6b156e1e11e51ef629c69a573f62e40a92578d6fa18189439",
+    "run-optimal-n4096-all-good-s1": "247b57a1f74a30fda2a5c165cf06cf82a9d8390a363bb147e284a4c04a69012a",
+    "run-optimal-n4096-all-good-s2": "32d73f164e5ded349fa96d724865b279ad2b41b3f44f8e76ca70a6bd02415155",
+    "run-optimal-n4096-one-good-s1": "244db83151dab401015dce3b719f822a15861194aeda95b23e16e262d1d28fcd",
+    "run-optimal-n4096-one-good-s2": "5d938323cbf9d7d47fa8764c4f050209a585a8f630d01a80636cd5dbbc399a70",
+    "run-optimal-n64-all-good-s1": "0050e3ccedcc944bf43bd9328ef154727e8646124756c6f134e61e45b8597c72",
+    "run-optimal-n64-all-good-s2": "371936024a25c921fb0216eae52e29683b4871fbfb755c5ce77c923647e8fee9",
+    "run-optimal-n64-one-good-s1": "dcf7587ff55e654d94d4efaaa7eade1af863a65c17f321aa7b4f122529de8b71",
+    "run-optimal-n64-one-good-s2": "e683615f3b6dabb53c05f0ffbed026cbca8aa22199cf3365241898a890d143a6",
+    "run-simple-n256-all-good-s1": "2d8c8f33a993001b16e53bced02706b4128bca6665411e41f1d39f4687c78f32",
+    "run-simple-n256-all-good-s2": "3bbe6a9a51137551a36270a04a5903d2a4512e6afe1625b940b73b976964ddbf",
+    "run-simple-n256-one-good-s1": "034c3bee4015e39b28627539894cf1a6b7efb508c3ff7709cbbdeef7ba18a856",
+    "run-simple-n256-one-good-s2": "fbb39f82ec38d76e308e8b87c5323c945305bbeb16684cb76bc622216f76a08c",
+    "run-simple-n4096-all-good-s1": "68f196bdc719dfe4ba6e79435a2bef8a27dc6e532633395dc902363ab41c26e7",
+    "run-simple-n4096-all-good-s2": "62b55f599be0cfcaf5627dd3e5a4016e72b991609ff0ca6535e85e5d9cb53d61",
+    "run-simple-n4096-one-good-s1": "c2895832c767ee2e13efb03905d02281149800d733cbf64c34c42c7bbf1c0b8a",
+    "run-simple-n4096-one-good-s2": "81905be897ec2ba0afe0ea2480d4aa541c76339d4dd0c829647f44414b28a2ee",
+    "run-simple-n64-all-good-s1": "de9d2a155f64f77655826977effb8b37e1a69c043f29ea887253ba7c243bc211",
+    "run-simple-n64-all-good-s2": "0e9d4a006c4c490c9548ae6d7385313fb036f67cf3aa5a6ec85a10ebcac1222f",
+    "run-simple-n64-one-good-s1": "977593a3edbea2b6c1be53e8ff4193ca98ce0dff942d23e702269cf24ea5fa84",
+    "run-simple-n64-one-good-s2": "4162ffb185d62f8ad0c763216728066c27bffc4195bdc87e9211d52436267215",
     "sweep-optimal": "5a880938ff088a10ea4de0b633756af88577493b21e8b7e2ced2dc3e4e9d9a36",
     "sweep-optimal-capped": "6534749e5ea955df14449ba4563f1c21d8c35381d1f24ac886e8335fc9d6fa10",
     "sweep-simple-random": "c15d7d1ffa8dd7023a64a001d6b523e43f1775d083f9ee08dfc9d3ad25a1841d",

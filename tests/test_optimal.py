@@ -5,7 +5,7 @@ import pytest
 
 from nestsim.config import ColonyConfig
 from nestsim.engine import run, stream_from_key
-from nestsim.optimal import ACTIVE, FINAL, PASSIVE, SEARCH, OptimalCohort, subround
+from nestsim.optimal import ACTIVE, FINAL, PASSIVE, OptimalCohort, subround
 from nestsim.world import K_GO, K_LEAD, K_SEARCH, K_WAIT
 from reference import (
     Go,
@@ -208,9 +208,9 @@ def test_committed_nest():
 
 
 def test_emit_gives_the_per_ant_request_in_every_cell():
-    """Each of the 64 (subround, block mode, branch) cells emits the kind and
-    target the single-ant step emits; a search's target is not read."""
-    cells = list(itertools.product((SEARCH, ACTIVE, PASSIVE, FINAL), range(4)))
+    """Each of the 48 (subround, block mode, branch) cells emits the kind and
+    target the single-ant step emits."""
+    cells = list(itertools.product((ACTIVE, PASSIVE, FINAL), range(4)))
     block, branch = (np.array([column], dtype=np.int8) for column in zip(*cells))
     nest = np.arange(1, len(cells) + 1)[None]
     for sub in (1, 2, 3, 4):
@@ -224,9 +224,7 @@ def test_emit_gives_the_per_ant_request_in_every_cell():
             _, req = optimal_step(OptimalAntState(
                 mode=blk, nest=ant + 1, nest_t=ant + 101,
                 block=None if sub == 1 else blk, sub=sub, branch=br))
-            if isinstance(req, Search):
-                want = (K_SEARCH, int(target[0, ant]))
-            elif isinstance(req, Go):
+            if isinstance(req, Go):
                 want = (K_GO, req.target)
             else:
                 want = (K_LEAD if req.active else K_WAIT, req.target)
