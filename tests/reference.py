@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nestsim import engine
+from nestsim import engine, harness
 from nestsim.engine import _resolve_arrays
 from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE
@@ -208,6 +208,20 @@ def play_on(configs, rng, more: int) -> list:
             keep[i] = not capped and (first[t] is None or len(after[t]) < more)
     return list(zip(first, after))
 
+
+
+def cell_reports(monkeypatch, spec, n: int, k: int) -> list:
+    """Every trial's report as `harness.run_cell(spec, n, k)` plays the cell."""
+    run, reports = harness.run, []
+
+    def recording_run(configs, rng):
+        trace, chunk = run(configs, rng)
+        reports.extend(chunk)
+        return trace, chunk
+
+    monkeypatch.setattr(harness, "run", recording_run)
+    harness.run_cell(spec, n, k)
+    return reports
 
 # --- optimal: one ant's drop-out strategy ---
 
@@ -598,3 +612,66 @@ def exact_rounds_law(algorithm: str, n: int, k: int, qualities, rounds: int):
         law.append(won)
         dist = after
     return law, sum(dist.values(), Fraction(0))
+
+
+# --- simple as a chain on per-nest populations ---
+
+def simple_chain_rounds(n: int, qualities, trials: int, rng, max_rounds: int):
+    """Each of `trials` lone `simple` colonies' first winning round, or 0 for
+    none by round `max_rounds`, played as a chain on per-nest populations.
+
+    In `simple`, ants on one nest are exchangeable.  After the search, every
+    ant on a suitable nest is active and every other one passive, and before
+    each recruitment round every active ant's count is its nest's
+    population.  So a colony is its active ants per nest and its passive
+    ants.  A recruitment round draws each nest's leaders as Binomial(a, a/n)
+    for its a active ants, then runs the sequential greedy loop on counts:
+    the next leader is uniform over the leaders not yet reached nor led
+    away, and picks one of the n ants uniformly.  Itself makes a self-pair;
+    a free ant is led to the leader's nest; an ant already matched fails the
+    pick and leaves the leader free to be led.  The chain shares no draw and
+    no code with the engine.
+    """
+    k = len(qualities)
+    good = np.array(qualities) == 1
+    act = np.where(good, rng.multinomial(n, [1 / k] * k, size=trials), 0)
+    passive = n - act.sum(1)
+    first = np.zeros(trials, dtype=np.int64)
+    first[(passive == 0) & (act.max(1) == n)] = 1
+    for r in range(2, max_rounds + 1, 2):  # assessment rounds change no nest
+        live = np.flatnonzero(first == 0)
+        if not live.size:
+            break
+        a, p = act[live], passive[live]
+        # the ants free in the loop, by class: leaders not yet reached, other
+        # actives (failed leaders among them), passive ants; and the matched
+        unreached = rng.binomial(a, a / n)
+        free, free_p = a - unreached, p.copy()
+        matched = np.zeros(live.size, dtype=np.int64)
+        while True:
+            go = np.flatnonzero(unreached.sum(1))
+            if not go.size:
+                break
+            u = unreached[go]
+            j = (u.cumsum(1) <= rng.integers(0, u.sum(1))[:, None]).sum(1)
+            unreached[go, j] -= 1
+            # the pick's class: matched, itself, unreached by nest, other free
+            # actives by nest, or passive; the classes hold all n ants
+            classes = np.column_stack([matched[go], np.ones(go.size, dtype=np.int64),
+                                       unreached[go], free[go], free_p[go]])
+            c = (classes.cumsum(1) <= rng.integers(0, n, size=go.size)[:, None]).sum(1)
+            failed = c == 0
+            free[go[failed], j[failed]] += 1
+            matched[go] += np.where(failed, 0, np.where(c == 1, 1, 2))
+            led = c > 1
+            g, dest, s = go[led], j[led], c[led] - 2
+            by_nest = s < 2 * k
+            unreached[g[s < k], s[s < k]] -= 1
+            free[g[(s >= k) & by_nest], s[(s >= k) & by_nest] - k] -= 1
+            free_p[g[~by_nest]] -= 1
+            a[g[by_nest], s[by_nest] % k] -= 1
+            p[g[~by_nest]] -= 1
+            a[g, dest] += 1
+        act[live], passive[live] = a, p
+        first[live[(p == 0) & (a.max(1) == n)]] = r
+    return first

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from nestsim import harness, lemmas
-from reference import exact_rounds_law
+from reference import cell_reports, exact_rounds_law
 
 ALPHA = 1e-3
 HORIZON = 40
@@ -85,17 +85,9 @@ def test_sweep_rounds_follow_the_exact_law(algorithm, n, pattern, monkeypatch):
     qualities = (1, 0) if pattern == "one-good" else (1, 1)
     law, tail = exact_rounds_law(algorithm, n, k, qualities, HORIZON)
     monkeypatch.setattr(lemmas, "UNION_ANTS", 256 * n)
-    run, reports = harness.run, []
-
-    def recording_run(configs, rng):
-        trace, chunk = run(configs, rng)
-        reports.extend(chunk)
-        return trace, chunk
-
-    monkeypatch.setattr(harness, "run", recording_run)
     spec = harness.ExperimentSpec(algorithm, (n,), (k,), pattern, TRIALS, seed=1,
                                   max_rounds=HORIZON)
-    harness.run_cell(spec, n, k)
+    reports = cell_reports(monkeypatch, spec, n, k)
     assert len(reports) == TRIALS
     observed = np.zeros(HORIZON + 1, dtype=np.int64)
     for rep in reports:
