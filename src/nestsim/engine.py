@@ -15,11 +15,11 @@ A batch draws from one stream, in a fixed order, so the whole batch
 replays exactly from its stream: (1) the search-placement batch over every
 ant in row-major order, colony after colony (round 1), (2) the
 lead-or-wait batch over the active ants of every colony, drawn while
-collecting requests (simple algorithm, recruitment rounds), (3) when there
-are recruiters, the matcher's permutation of all of them and then the
-picks of every active caller, each inside its own colony.  Each is one
-call however many colonies play, and none draws anything where its batch
-would be empty.
+collecting requests (simple algorithm, recruitment rounds), (3) when some
+ant leads, the matcher's order of every leader of the batch and then each
+leader's pick in that order, inside its own colony.  Each is one call
+however many colonies play, and none draws anything where its batch would
+be empty.
 """
 
 from __future__ import annotations

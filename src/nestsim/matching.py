@@ -1,45 +1,48 @@
 """Random pairing of recruiters and recruits at the home nest.
 
-All ants that call recruit() in a round form the pool R.  A uniform random
-permutation of R is drawn; each actively recruiting ant, when reached in
-permutation order and not already led away, picks a uniform random ant from
-all of R (itself included) and the pair sticks iff the pick has neither led
-nor been led this round.  A self-pick forms an inert self-pair: it changes
-nobody's nest but blocks the ant from being recruited later in the round.
+All ants that call recruit() in a round form the pool R, and its actively
+recruiting ants are the callers.  The callers are taken in a uniform random
+order; each, when reached and not already led away, picks a uniform random
+ant from all of R (itself included) and the pair sticks iff the pick has
+neither led nor been led this round.  A self-pick forms an inert self-pair:
+it changes nobody's nest but blocks the ant from being recruited later in
+the round.
 
 Randomness is consumed in a fixed documented order so runs replay exactly:
-first the permutation (one rng.permutation call), then one batch of pick
-values, one per active caller in ant-index order.  A pick is only *used* if
-its owner is still eligible when reached in the permutation; unused picks
-are discarded.  Picks are i.i.d. uniform, so this is distributionally
-identical to drawing lazily.
+first the callers' order (one rng.permutation call over the callers), then
+one batch of picks, one per caller in that order.  A pick is only *used* if
+its owner is still eligible when reached.  Picks are i.i.d. uniform and
+independent of the order, so this is the law of drawing lazily; and as a
+uniform permutation of R induces a uniform order on the callers, it is the
+law of ordering all of R.  A pool with no caller draws nothing: numpy
+leaves the stream as it is for an empty permutation and an empty batch.
 
-Given the permutation and the picks, the pairing is the sequential greedy
-maximal matching of a graph on R: each active ant a contributes the edge
-{a, pick(a)} (a self-loop on a self-pick), with priority a's position in
-the permutation, and edges are taken in priority order whenever both ends
-are still unmatched.  `match_core` resolves it in rounds over arrays
-(Blelloch, Fineman and Shun, "Greedy Sequential Maximal Independent Set
-and Matching are Parallel on Average", SPAA 2012): every round accepts each
-remaining edge that has the lowest priority of all remaining edges at both
-of its ends, then drops every edge that touches an accepted one.  An
-accepted edge is exactly one the sequential loop takes: every edge ahead of
-it at either end is already gone, so the loop reaches it with both ends
-free.  A dropped edge is one the loop would reach with an end taken.  The
-lowest remaining edge is accepted every round, so the rounds end; on these
-random graphs they end after a handful.  The loop itself, one ant at a
-time, is kept as the test oracle `match_loop` in `tests/reference.py`,
-which also enumerates the exact outcome distribution on tiny pools.  The
-rounds compact their edges through index sets (`nonzero`, then integer
+Given the order and the picks, the pairing is the sequential greedy
+maximal matching of a graph on R: each caller a contributes the edge
+{a, pick(a)} (a self-loop on a self-pick), with priority a's place in the
+order, and edges are taken in priority order whenever both ends are still
+unmatched.  `match_core` resolves it in rounds over arrays (Blelloch,
+Fineman and Shun, "Greedy Sequential Maximal Independent Set and Matching
+are Parallel on Average", SPAA 2012): every round accepts each remaining
+edge that has the lowest priority of all remaining edges at both of its
+ends, then drops every edge that touches an accepted one.  An accepted
+edge is exactly one the sequential loop takes: every edge ahead of it at
+either end is already gone, so the loop reaches it with both ends free.  A
+dropped edge is one the loop would reach with an end taken.  The lowest
+remaining edge is accepted every round, so the rounds end; on these random
+graphs they end after a handful.  The loop itself, one ant at a time, is
+kept as the test oracle `match_loop` in `tests/reference.py`, which also
+enumerates the exact outcome distribution on tiny pools.  The rounds
+compact their edges through index sets (`nonzero`, then integer
 indexing), as numpy 2.4 indexes 50 000 entries with a random boolean mask
 of 15-50% density about 4 times slower than `nonzero` plus the gather.
 
 `match_arrays` resolves pools laid back to back in one call and pays the
-fixed cost once: one permutation of the whole union, and one batch of
-picks in which each caller picks inside its own pool.  No edge joins two
-pools, so the greedy matching of the union is, pool by pool, the greedy
-matching of each pool under the order the union permutation induces on
-it, itself a uniform permutation.  `pool=m` lays out equal pools of m
+fixed cost once: one order of the callers of the whole union, and one
+batch of picks in which each caller picks inside its own pool.  No edge
+joins two pools, so the greedy matching of the union is, pool by pool, the
+greedy matching of each pool under the order the union's order induces on
+its callers, itself a uniform order.  `pool=m` lays out equal pools of m
 ants; the engine's batches pass each colony's pool size instead.  Where
 every pool has one size the picks draw with a scalar bound, which numpy
 draws several times faster than a bound per caller, and which gives the
@@ -52,24 +55,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def match_core(active, perm, picks):
-    """Deterministic pairing given the permutation and per-ant pick values.
+def match_core(src, dst, m):
+    """Greedy matching of the edges (src[i], dst[i]), taken in the order i.
 
-    `active` is a bool array over pool positions, `perm` an int array
-    ordering them, and `picks` an int array of chosen pool positions, read
-    only for active ants.  Returns `recruiter`, an int64 array:
-    recruiter[x] is the pool position that led x away, -1 if none and x
-    itself for a self-pair.
+    `src` holds distinct pool positions, each edge's owner, and `dst` its
+    pick, a position of the pool of m ants; src[i] == dst[i] is a
+    self-loop.  Returns `recruiter`, an int64 array: recruiter[x] is the
+    pool position that led x away, -1 if none and x itself for a self-pair.
     """
-    m = perm.size
-    # an edge's priority is its owner's position in the permutation
-    pri = active[perm].nonzero()[0]
-    src = perm[pri]
-    dst = picks[src]
+    pri = np.arange(src.size)
     recruiter = np.full(m, -1, dtype=np.int64)
     free = np.ones(m, dtype=bool)
     # only a remaining edge's ends are read: src ends are written each round,
-    # and dst ends start at m and are reset to it at the end of each round
+    # and dst ends start above every priority and are reset to it each round
     lowest = np.full(m, m, dtype=np.int64)
     while src.size:
         # lowest remaining priority at each end; an ant owns at most one edge
@@ -110,19 +108,15 @@ def match_arrays(active, targets, rng, pool=None):
             raise ValueError(f"{m} ants do not split into pools of {pool}")
     elif pool.min() == pool.max():
         pool = int(pool[0])
-    callers = active.nonzero()[0]
-    perm = rng.permutation(m)
-    picks = np.empty(m, dtype=np.int64)
-    if callers.size:
-        if np.ndim(pool):
-            ends = np.cumsum(pool)
-            owner = np.searchsorted(ends, callers, side="right")
-            high = pool[owner]
-            start = ends[owner] - high
-        else:
-            high, start = pool, callers // pool * pool if pool < m else 0
-        picks[callers] = rng.integers(0, high, size=callers.size) + start
-    recruiter = match_core(active, perm, picks)
+    order = rng.permutation(active.nonzero()[0])
+    if np.ndim(pool):
+        ends = np.cumsum(pool)
+        owner = np.searchsorted(ends, order, side="right")
+        high = pool[owner]
+        start = ends[owner] - high
+    else:
+        high, start = pool, order // pool * pool if pool < m else 0
+    recruiter = match_core(order, rng.integers(0, high, size=order.size) + start, m)
     led = (recruiter >= 0).nonzero()[0]
     pairs = np.empty((led.size, 2), dtype=np.int64)
     pairs[:, 0] = recruiter[led]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_LEAD, K_WAIT
+from .world import K_GO, K_LEAD, K_WAIT, agreed_nest
 
 ACTIVE, PASSIVE, FINAL = 0, 1, 2
 MODE_NAMES = {ACTIVE: "active", PASSIVE: "passive", FINAL: "final"}
@@ -93,10 +93,7 @@ class OptimalCohort:
     def convergence_nest(self):
         """Per colony, its winning nest once every ant is final and committed
         to it, else 0."""
-        first = self.nest[:, 0]
-        won = (self.mode == FINAL).all(1)
-        won[won] = (self.nest[won] == first[won, None]).all(1)
-        return np.where(won, first, 0)
+        return agreed_nest(self.nest, self.mode == FINAL)
 
     def mode_tallies(self) -> dict:
         return {name: (self.mode == m).sum(1) for m, name in MODE_NAMES.items()}

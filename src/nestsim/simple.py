@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import K_GO, K_LEAD, K_WAIT
+from .world import K_GO, K_LEAD, K_WAIT, agreed_nest
 
 
 class SimpleCohort:
@@ -56,10 +56,7 @@ class SimpleCohort:
     def convergence_nest(self):
         """Per colony, its winning nest once all its ants are active on one
         nest, else 0.  An active ant searched or was led to a suitable nest."""
-        first = self.nest[:, 0]
-        won = self.active.all(1)
-        won[won] = (self.nest[won] == first[won, None]).all(1)
-        return np.where(won, first, 0)
+        return agreed_nest(self.nest, self.active)
 
     def mode_tallies(self) -> dict:
         actives = np.count_nonzero(self.active, axis=1)

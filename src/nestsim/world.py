@@ -49,3 +49,11 @@ def violations(world: WorldState, kind, target):
     # a target off the candidate range reads some in-range cell; the range check masks it
     ok = world.visited.take(cell, mode="clip") & (target >= 1) & (target <= world.k)
     return (kind != K_SEARCH) > ok  # not a search, and not ok
+
+
+def agreed_nest(nest, settled):
+    """Per colony, the nest every ant holds once all are `settled`, else 0."""
+    first = nest[:, 0]
+    won = settled.all(1)
+    won[won] = (nest[won] == first[won, None]).all(1)
+    return np.where(won, first, 0)

@@ -415,8 +415,9 @@ def match_loop(active, targets, perm, picks):
     """Deterministic pairing given the permutation and per-ant pick values.
 
     `active`, `targets` are sequences indexed by pool position; `perm` is an
-    iteration order over pool positions; `picks` maps pool position -> chosen
-    pool position (only consulted for active ants).  Returns
+    iteration order over pool positions, or over the active ones alone, as
+    the loop skips the others; `picks` maps pool position -> chosen pool
+    position (only consulted for active ants).  Returns
     (recruiter, returned): recruiter[x] is the pool position that led x away
     (-1 if none, x itself for a self-pair); returned[x] is x's result nest.
     """

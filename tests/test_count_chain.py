@@ -38,13 +38,11 @@ def chi2_two_samples(first, second):
     return float(((obs[:, 0] - obs[:, 1]) ** 2 / obs.sum(1)).sum()), len(bins) - 1
 
 
-@pytest.mark.parametrize("n, qualities", [
-    (64, (1, 0)), (64, (1, 1)), (256, (1, 1)), (256, (1, 0, 1, 0)),
-])
-def test_simple_rounds_follow_the_count_chain(n, qualities, monkeypatch):
+@pytest.mark.parametrize("n, pattern", [(64, "1,0"), (64, "1,1"), (256, "1,1"), (256, "1,0,1,0")])
+def test_simple_rounds_follow_the_count_chain(n, pattern, monkeypatch):
+    qualities = tuple(int(q) for q in pattern.split(","))
     k = len(qualities)
     chain = simple_chain_rounds(n, qualities, TRIALS, np.random.default_rng((2, n, k)), CAP)
-    pattern = ",".join(map(str, qualities))
     spec = harness.ExperimentSpec("simple", (n,), (k,), pattern, TRIALS, seed=1, max_rounds=CAP)
     reports = cell_reports(monkeypatch, spec, n, k)
     engine = np.array([rep.rounds_to_converge if rep.converged else 0 for rep in reports])

@@ -66,39 +66,39 @@ CASES = {
 }
 
 GOLDEN = {
-    "lemma-dropout": "cc1cfc82c3f04d5a69add1f65fbf3fccf90dc8b1743691a1897c7977c99f09d5",
+    "lemma-dropout": "99859aa6706abc8deeb2242e4ca29bb4a66034ac16780243c9217e21d0639118",
     "lemma-eps-init": "2fc9c784f026b45cd774b4b91ca14f6564ced512ffe34c4d6183a717071eeb9b",
-    "lemma-nest-delta": "8c411443f29f771e5cadaac3ed7f4f48cd2a5b1d75cff16087054f6023fb39ad",
-    "lemma-ratio-growth": "74c7954cebea108486cd11c204b158e3270946fabbcc7f407e7a512b038813fe",
-    "lemma-recruit-success": "c0663bfd810a9387bbbada006509b54d7c8d2fe0d48596d1002641d3f2ca82f0",
-    "lemma-retention": "e51dff94973194ba49234a55b029139439c101cf9097d841811f2491b208ac6a",
-    "run-optimal-n256-all-good-s1": "bb90ba152487dd68196a2faf2f382486093b25892ab0463df47dbf63f3dbe32f",
-    "run-optimal-n256-all-good-s2": "7980215a2f2edb20b0386cd367f726145a206f35948c7cd6331e3b998599555b",
-    "run-optimal-n256-one-good-s1": "de196af50594a0dcd89077c2949b684bc1b55a5d158268a09c07af0e9a6ba16b",
-    "run-optimal-n256-one-good-s2": "d7cbb1f9c90428d6b156e1e11e51ef629c69a573f62e40a92578d6fa18189439",
-    "run-optimal-n4096-all-good-s1": "247b57a1f74a30fda2a5c165cf06cf82a9d8390a363bb147e284a4c04a69012a",
-    "run-optimal-n4096-all-good-s2": "32d73f164e5ded349fa96d724865b279ad2b41b3f44f8e76ca70a6bd02415155",
-    "run-optimal-n4096-one-good-s1": "244db83151dab401015dce3b719f822a15861194aeda95b23e16e262d1d28fcd",
-    "run-optimal-n4096-one-good-s2": "5d938323cbf9d7d47fa8764c4f050209a585a8f630d01a80636cd5dbbc399a70",
-    "run-optimal-n64-all-good-s1": "0050e3ccedcc944bf43bd9328ef154727e8646124756c6f134e61e45b8597c72",
-    "run-optimal-n64-all-good-s2": "371936024a25c921fb0216eae52e29683b4871fbfb755c5ce77c923647e8fee9",
-    "run-optimal-n64-one-good-s1": "dcf7587ff55e654d94d4efaaa7eade1af863a65c17f321aa7b4f122529de8b71",
-    "run-optimal-n64-one-good-s2": "e683615f3b6dabb53c05f0ffbed026cbca8aa22199cf3365241898a890d143a6",
-    "run-simple-n256-all-good-s1": "2d8c8f33a993001b16e53bced02706b4128bca6665411e41f1d39f4687c78f32",
-    "run-simple-n256-all-good-s2": "3bbe6a9a51137551a36270a04a5903d2a4512e6afe1625b940b73b976964ddbf",
-    "run-simple-n256-one-good-s1": "034c3bee4015e39b28627539894cf1a6b7efb508c3ff7709cbbdeef7ba18a856",
-    "run-simple-n256-one-good-s2": "fbb39f82ec38d76e308e8b87c5323c945305bbeb16684cb76bc622216f76a08c",
-    "run-simple-n4096-all-good-s1": "68f196bdc719dfe4ba6e79435a2bef8a27dc6e532633395dc902363ab41c26e7",
-    "run-simple-n4096-all-good-s2": "62b55f599be0cfcaf5627dd3e5a4016e72b991609ff0ca6535e85e5d9cb53d61",
-    "run-simple-n4096-one-good-s1": "c2895832c767ee2e13efb03905d02281149800d733cbf64c34c42c7bbf1c0b8a",
-    "run-simple-n4096-one-good-s2": "81905be897ec2ba0afe0ea2480d4aa541c76339d4dd0c829647f44414b28a2ee",
-    "run-simple-n64-all-good-s1": "de9d2a155f64f77655826977effb8b37e1a69c043f29ea887253ba7c243bc211",
-    "run-simple-n64-all-good-s2": "0e9d4a006c4c490c9548ae6d7385313fb036f67cf3aa5a6ec85a10ebcac1222f",
-    "run-simple-n64-one-good-s1": "977593a3edbea2b6c1be53e8ff4193ca98ce0dff942d23e702269cf24ea5fa84",
-    "run-simple-n64-one-good-s2": "4162ffb185d62f8ad0c763216728066c27bffc4195bdc87e9211d52436267215",
-    "sweep-optimal": "5a880938ff088a10ea4de0b633756af88577493b21e8b7e2ced2dc3e4e9d9a36",
-    "sweep-optimal-capped": "6534749e5ea955df14449ba4563f1c21d8c35381d1f24ac886e8335fc9d6fa10",
-    "sweep-simple-random": "c15d7d1ffa8dd7023a64a001d6b523e43f1775d083f9ee08dfc9d3ad25a1841d",
+    "lemma-nest-delta": "a515343f9de940fcb3166d3fc7bfd43949fd2d372a5075445d1545cddd8aa9d6",
+    "lemma-ratio-growth": "2eddb56276fd2b2e5a316379f29c14bfe6696a21a92dc81f9afc50ac1f08861c",
+    "lemma-recruit-success": "f22f06959db01a66d165bd8615ed5b52e048b266ae82bb7259e1330e2157d332",
+    "lemma-retention": "9d790ae651877df29fc9ef589c71d28845a44582699a9b9994d1824138ea7a1d",
+    "run-optimal-n256-all-good-s1": "927b34868645259d10fde0b69cd292489d835d9c5a20cf059d3b9eb128fba6ea",
+    "run-optimal-n256-all-good-s2": "1f91cafabf7959e7ce559e00c031f63ed4a7b6313cb51e437d1c0cc41c6d21d3",
+    "run-optimal-n256-one-good-s1": "227798937d4dec186505a5a5290a2ff9b972780342e1b6616c14bdf6d1b64b8f",
+    "run-optimal-n256-one-good-s2": "10b6698aad35d9e35fcdfaa7c6c900977f076d064fe7c7da845a48eec5c92c13",
+    "run-optimal-n4096-all-good-s1": "d64240cc202ae12957576fe2a943bd73a768ade3fa3772b5337248ca4cdec95f",
+    "run-optimal-n4096-all-good-s2": "639c8cd03e84bfa948fccf0f472e9ff2a92dc41479f4c6fad4b42a019e454c67",
+    "run-optimal-n4096-one-good-s1": "7b7e36795d7db3ca1be680b5ac4dcc5aec3a7fd6255f703f130cad499420ed47",
+    "run-optimal-n4096-one-good-s2": "54fd13a7f124a92a6e03d496612b81f12276df1e193c82828255976b0b33faa6",
+    "run-optimal-n64-all-good-s1": "4bc0c3a1697893b5cbb58ce0c2ea336eaef892fbf5c7b71c69253e02e30d764c",
+    "run-optimal-n64-all-good-s2": "e7b1b4629ce6c824f30305f442a726e73541b5e340676e2d3e2555730b56767a",
+    "run-optimal-n64-one-good-s1": "75e530b8a2621fcc72c0e3111f43111e7881a7be6a4f5c7a0c99e3afaf301387",
+    "run-optimal-n64-one-good-s2": "137c7300da6b41fdd6b4c83eb2afc772ca6c562e21186d7902262be462ad4380",
+    "run-simple-n256-all-good-s1": "c3c030da0c41c10f9b0bb721a8851afbd60749c12c98389a508c03154ee106fc",
+    "run-simple-n256-all-good-s2": "47896077a4e5a3ed440f9905dcaad145521df984e109950e9d9f721a40738a29",
+    "run-simple-n256-one-good-s1": "1042d03f57b8431f9bd665c4c0f4ca9fe1466e181aede75d90827249ae21c5a4",
+    "run-simple-n256-one-good-s2": "b6746b8a307a457f4f1e34b5141ee815f25a33a0484e6ac59b3a23663cef73d0",
+    "run-simple-n4096-all-good-s1": "50553ce118362982bf2483ffc3ed967079c6d2766a1834a1eac9c1bbe34f06b1",
+    "run-simple-n4096-all-good-s2": "38c383cdcafafa148289c8fb02276aa3d74ea297d9a3cf573cf1d4b8fe820e1a",
+    "run-simple-n4096-one-good-s1": "1280691b08d569058c888727e226e0877e427f7c10936fc3271a689dd11f2223",
+    "run-simple-n4096-one-good-s2": "0f9289fc57a2780daa577c8dc148ab7e107b6987480d867c388cf17ee401b6ff",
+    "run-simple-n64-all-good-s1": "8fa661b80d5c3f9f0ead61a0a36b8614ae79957e60327771d5aff9ef524e39d8",
+    "run-simple-n64-all-good-s2": "65101d44ada83331db324751dc8bd392b43f354e32d8021e65dfacc99ef98a10",
+    "run-simple-n64-one-good-s1": "1c82dd67ae61d3315114cf853be66321d5223321bf10f04982af69f864a9e1bc",
+    "run-simple-n64-one-good-s2": "f5bb8d3bb2984c6371633c413bf28a01501e6fb57a5e547568735752ee448f41",
+    "sweep-optimal": "af5f08faa708f8d7be8bd84b4b80371b869e868de4346924142d889002ab24b7",
+    "sweep-optimal-capped": "96244d37acf0369a03fbcee4c719b5a3f4b31e30139a0bc8173335647fd8dd1c",
+    "sweep-simple-random": "b2b76dc22dfd088f941d66e094cca87232897e554fcb8ceeb8165f66eff9fbfc",
 }
 
 
@@ -106,11 +106,11 @@ GOLDEN = {
 # matcher call per trial, before they played their trials in chunks.  One
 # trial a chunk must still write them byte for byte.
 SERIAL_GOLDEN = {
-    "lemma-dropout": "2bb3d1044b8e8ee52d664a1acaf478b633b2f7c3a1f2cb4dc964b14ae89d4771",
-    "lemma-nest-delta": "8a2916bd8c2539d730f39458998e0758a67c57344370e31b1715c7ca80683108",
-    "lemma-ratio-growth": "63dbb6b725c64e4e92ca477fcaac6121e452b657764f555720cdb86d925a179e",
-    "lemma-recruit-success": "60a2fc9b05a629b51dfec7c420d2f0f13a8cb8c432fb0d0d79d265568ebcad3b",
-    "lemma-retention": "add33fc245449f42a991d0acbee8e66061698babd1cd5661274a14c2749ba852",
+    "lemma-dropout": "c02e6e4afd684f497554c58e024d1e0eb1ce68350e8435668cef332bc4f839a7",
+    "lemma-nest-delta": "ec8c1ecb04d8ff67b7101017130f51dc80077c3f56b9b09c0a48894e67fa2dbb",
+    "lemma-ratio-growth": "02bdfeaeafffe74302d44ec618aa00f760ff762489ad2764bd22b1d5a99557a7",
+    "lemma-recruit-success": "8f4721f337900c5a3a1e99484ed8996a164c995e857a8b3a7259f0dd54f4bc5b",
+    "lemma-retention": "2a29ec0b7df4982ac89318d45000227ea4582221cf8b84a4c3242ad11bf5f4cd",
 }
 
 

@@ -129,14 +129,14 @@ def test_batched_trials_replay_their_lone_runs(algorithm, n, monkeypatch):
         return csv, list(chunks)
 
     def configs(pattern, trials):
-        rng = stream_from_key(3, n, 3)
+        rng = stream_from_key(2, n, 3)
         return rng, [ColonyConfig(n, 3, make_qualities(3, pattern, rng), algorithm, 45)
                      for _ in range(trials)]
 
     monkeypatch.setattr(harness, "run", recording_run)
     reasons = set()
     for pattern in ("one-good", "all-good", "random:0.5", "1,0,1"):
-        spec = ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 3, max_rounds=45)
+        spec = ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 2, max_rounds=45)
         csv, played = play(spec)
         assert play(spec) == (csv, played)
         assert [len(chunk) for chunk, _, _ in played] == [2, 2, 1]

@@ -153,19 +153,20 @@ def pools(draw):
 
 
 class _Dealt:
-    """A stream stand-in that deals a fixed permutation and fixed picks in
-    the documented order: the permutation, then the active ants' picks."""
+    """A stream stand-in that deals a fixed order of the callers and fixed
+    picks in the documented order: the order, then the picks in that order."""
 
-    def __init__(self, active, perm, picks):
-        self.perm = np.array(perm, dtype=np.int64)
-        self.draws = np.array(picks, dtype=np.int64)[np.flatnonzero(active)]
+    def __init__(self, order, picks):
+        self.m = len(picks)
+        self.order = np.array(order, dtype=np.int64)
+        self.draws = np.array(picks, dtype=np.int64)[self.order]
 
-    def permutation(self, m):
-        assert m == self.perm.size
-        return self.perm
+    def permutation(self, callers):
+        assert callers.tolist() == sorted(self.order.tolist())
+        return self.order
 
     def integers(self, low, high, size):
-        assert (low, high, size) == (0, self.perm.size, self.draws.size)
+        assert (low, high, size) == (0, self.m, self.draws.size)
         return self.draws.copy()
 
 
@@ -191,32 +192,29 @@ def test_match_core_equals_match_loop(pool):
     # edge, the lowest, at ant 0 or 1, and edges 4 and 5 meet edges 2 and 3,
     # so the first round accepts only the lowest edge and the second two
     active, targets, perm, picks = pool
-    recruiter = match_core(
-        np.array(active, dtype=bool),
-        np.array(perm, dtype=np.int64),
-        np.array(picks, dtype=np.int64),
-    )
-    want_recruiter, want_returned = match_loop(active, targets, perm, picks)
+    # the order `perm` induces on the callers, each edge's priority
+    order = [a for a in perm if active[a]]
+    recruiter = match_core(np.array(order, dtype=np.int64),
+                           np.array([picks[a] for a in order], dtype=np.int64), len(targets))
+    want_recruiter, want_returned = match_loop(active, targets, order, picks)
     assert recruiter.tolist() == want_recruiter
     # match_arrays dealt the same draws pairs and returns as the loop does
-    pairs, returned = match_arrays(active, targets, _Dealt(active, perm, picks))
+    pairs, returned = match_arrays(active, targets, _Dealt(order, picks))
     assert pairs.tolist() == [[r, x] for x, r in enumerate(want_recruiter) if r != -1]
     assert returned.tolist() == want_returned
 
 
 def _documented_draws(active, targets, seed):
     """(pairs, returned, next value) of one plain call, replayed by hand: one
-    permutation, then one batch of picks over the active ants in ant-index
-    order, paired by match_loop; then the stream's next `random()`."""
+    permutation of the callers, then one batch of picks, one per caller in
+    that order, paired by match_loop; then the stream's next `random()`."""
     m = len(targets)
     replay = stream_from_key(seed)
-    perm = replay.permutation(m).tolist()
+    order = replay.permutation(np.flatnonzero(active)).tolist()
     picks = [-1] * m
-    callers = np.flatnonzero(active).tolist()
-    if callers:
-        for i, v in zip(callers, replay.integers(0, m, size=len(callers))):
-            picks[i] = int(v)
-    recruiter, returned = match_loop(active.tolist(), targets.tolist(), perm, picks)
+    for a, v in zip(order, replay.integers(0, m, size=len(order)).tolist()):
+        picks[a] = v
+    recruiter, returned = match_loop(active.tolist(), targets.tolist(), order, picks)
     pairs = [[recruiter[x], x] for x in range(m) if recruiter[x] != -1]
     return pairs, returned, replay.random()
 
@@ -294,19 +292,19 @@ def test_pooled_call_equals_match_loop_pool_by_pool(union):
     active = setup.random(m) < share
     targets = setup.integers(1, 5, size=m)
 
-    # one permutation of the union, then each active caller in ant-index
-    # order picks uniformly inside its own pool
+    # one order of the union's callers, then each caller in that order
+    # picks uniformly inside its own pool
     replay = stream_from_key(seed)
-    perm = replay.permutation(m).tolist()
+    order = replay.permutation(np.flatnonzero(active)).tolist()
     starts = np.cumsum((0, *sizes))
     owner = np.repeat(np.arange(len(sizes)), sizes)
     picks = np.full(m, -1)
-    for a in np.flatnonzero(active):
+    for a in order:
         picks[a] = starts[owner[a]] + replay.integers(0, sizes[owner[a]])
     want_pairs, want_returned = [], []
     for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        # the order the union permutation induces on this pool
-        induced = [a - lo for a in perm if lo <= a < hi]
+        # the order the union's order induces on this pool's callers
+        induced = [a - lo for a in order if lo <= a < hi]
         recruiter, pool_returned = match_loop(
             active[lo:hi].tolist(), targets[lo:hi].tolist(),
             induced, (picks[lo:hi] - lo).tolist(),
@@ -336,6 +334,18 @@ def test_bound_per_caller_draws_as_consecutive_scalar_calls(bounds):
         one_call = stream_from_key(3)
         assert one_call.integers(0, bounds[0], size=len(bounds)).tolist() == drawn.tolist()
         assert one_call.random() == after
+
+
+@pytest.mark.parametrize("pool", [None, 3, np.array([2, 0, 4])])
+def test_no_leader_draws_nothing(pool):
+    # pools where nobody leads pair nobody and leave the stream as it was
+    rng = stream_from_key(4)
+    state = rng.bit_generator.state
+    targets = np.arange(6) % 3 + 1
+    pairs, returned = match_arrays(np.zeros(6, dtype=bool), targets, rng, pool)
+    assert pairs.shape == (0, 2)
+    assert returned.tolist() == targets.tolist()
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("m, pool", [(10, 3), (4, 0), (4, 8)])
