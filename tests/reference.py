@@ -209,7 +209,6 @@ def play_on(configs, rng, more: int) -> list:
     return list(zip(first, after))
 
 
-
 def cell_reports(monkeypatch, spec, n: int, k: int) -> list:
     """Every trial's report as `harness.run_cell(spec, n, k)` plays the cell."""
     run, reports = harness.run, []
@@ -222,6 +221,7 @@ def cell_reports(monkeypatch, spec, n: int, k: int) -> list:
     monkeypatch.setattr(harness, "run", recording_run)
     harness.run_cell(spec, n, k)
     return reports
+
 
 # --- optimal: one ant's drop-out strategy ---
 
@@ -644,34 +644,31 @@ def simple_chain_rounds(n: int, qualities, trials: int, rng, max_rounds: int):
         if not live.size:
             break
         a, p = act[live], passive[live]
-        # the ants free in the loop, by class: leaders not yet reached, other
-        # actives (failed leaders among them), passive ants; and the matched
-        unreached = rng.binomial(a, a / n)
-        free, free_p = a - unreached, p.copy()
+        # the ants free in the loop, by column: leaders not yet reached, by
+        # nest; other actives (failed leaders among them), by nest; passive
+        free = np.column_stack([rng.binomial(a, a / n), np.zeros_like(a), p])
+        free[:, k:2 * k] = a - free[:, :k]
         matched = np.zeros(live.size, dtype=np.int64)
         while True:
-            go = np.flatnonzero(unreached.sum(1))
+            go = np.flatnonzero(free[:, :k].sum(1))
             if not go.size:
                 break
-            u = unreached[go]
+            u = free[go, :k]
             j = (u.cumsum(1) <= rng.integers(0, u.sum(1))[:, None]).sum(1)
-            unreached[go, j] -= 1
-            # the pick's class: matched, itself, unreached by nest, other free
-            # actives by nest, or passive; the classes hold all n ants
-            classes = np.column_stack([matched[go], np.ones(go.size, dtype=np.int64),
-                                       unreached[go], free[go], free_p[go]])
-            c = (classes.cumsum(1) <= rng.integers(0, n, size=go.size)[:, None]).sum(1)
+            free[go, j] -= 1
+            # the pick: a matched ant, the leader itself, or a free column;
+            # together they hold all n ants
+            pool = np.column_stack([matched[go], np.ones_like(go), free[go]])
+            c = (pool.cumsum(1) <= rng.integers(0, n, size=go.size)[:, None]).sum(1)
             failed = c == 0
-            free[go[failed], j[failed]] += 1
+            free[go[failed], k + j[failed]] += 1
             matched[go] += np.where(failed, 0, np.where(c == 1, 1, 2))
             led = c > 1
-            g, dest, s = go[led], j[led], c[led] - 2
-            by_nest = s < 2 * k
-            unreached[g[s < k], s[s < k]] -= 1
-            free[g[(s >= k) & by_nest], s[(s >= k) & by_nest] - k] -= 1
-            free_p[g[~by_nest]] -= 1
-            a[g[by_nest], s[by_nest] % k] -= 1
-            p[g[~by_nest]] -= 1
+            g, dest, col = go[led], j[led], c[led] - 2
+            free[g, col] -= 1
+            active = col < 2 * k
+            a[g[active], col[active] % k] -= 1
+            p[g[~active]] -= 1
             a[g, dest] += 1
         act[live], passive[live] = a, p
         first[live[(p == 0) & (a.max(1) == n)]] = r

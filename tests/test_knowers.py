@@ -8,9 +8,9 @@ second on its own rumor-spreading rounds (acceptance 03); here both are
 held on the engine's runs, with the moves and the `visited` bookkeeping
 the lab lacks.  A spy on `engine._resolve_arrays` reads each nest's
 knowers after every round, over lone runs and batches of colonies.
-Doubling alone bounds rounds only by about log2 k, since the search shows
-each nest to about n/k ants, so this certifies the mechanism, not the
-bound itself.
+Doubling alone bounds rounds only by about 1 + log2 k, since the search
+shows each nest to about n/k ants, so this certifies the mechanism, not
+the bound itself.
 """
 
 import numpy as np
