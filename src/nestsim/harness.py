@@ -6,9 +6,9 @@ derived from (master seed, n, k), so cells are independent and the CSV is
 byte-identical across repeated invocations.
 
 A cell draws every trial's qualities first, in trial order, and then
-plays its trials in chunks of at most `lemmas.UNION_ANTS` ants (at least
-one trial), each chunk one `engine.run` batch on the cell's stream.  A
-cell of one trial is the lone run on that stream.
+plays its trials in `matching.chunks` of at most UNION_ANTS ants (at
+least one trial), each chunk one `engine.run` batch on the cell's stream.
+A cell of one trial is the lone run on that stream.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import lemmas
 from .config import ColonyConfig, check_size, make_qualities
 from .engine import run, stream_from_key
+from .matching import chunks
 
 CSV_SCHEMA = "# nestsim-sweep-csv v1"
 
@@ -76,11 +76,11 @@ def run_cell(spec: ExperimentSpec, n: int, k: int) -> SummaryRow:
     rng = stream_from_key(spec.seed, n, k)
     configs = [ColonyConfig(n, k, make_qualities(k, spec.pattern, rng), spec.algorithm,
                             spec.max_rounds) for _ in range(spec.trials)]
-    rounds = []
-    chunk = max(1, lemmas.UNION_ANTS // n)
-    for start in range(0, spec.trials, chunk):
-        _trace, reports = run(configs[start:start + chunk], rng)
+    rounds, start = [], 0
+    for t in chunks(spec.trials, n):
+        _trace, reports = run(configs[start:start + t], rng)
         rounds += [rep.rounds_to_converge for rep in reports if rep.converged]
+        start += t
     # a cell with no converged trial gets nan statistics and 0 extremes
     arr = np.asarray(rounds or [math.nan], dtype=np.float64)
     return SummaryRow(

@@ -7,13 +7,8 @@ Most checks allow a margin of 3-4 standard errors so false failures stay
 below roughly 1e-3 per check.  Two have no margin: recruit-success passes
 on a frequency >= 1/16 and dropout on a within-bound rate >= 0.99.  A mean
 over fewer than 2 usable samples has no standard error (None) and fails.
-All estimators are deterministic given their (spec, seed).
-
-The Monte Carlo estimators play their trials in chunks of at most
-UNION_ANTS ants, one `match_arrays(..., pool=m)` call per chunk and round,
-since a call on a small pool is nearly all fixed overhead.  The chunk size
-is a constant: it fixes the draw order, hence the output, and bounds memory.
-One trial a chunk would draw exactly as one call per trial does.
+All estimators are deterministic given their (spec, seed).  The Monte
+Carlo ones play their trials in the matcher's `chunks`, one pool a trial.
 """
 
 from __future__ import annotations
@@ -26,14 +21,12 @@ import numpy as np
 
 from .config import ANT_BYTES, REGIME_C, REGIME_D, check_fits
 from .engine import dumps, stream_from_key
-from .matching import match_arrays
+from .matching import chunks, match_arrays
+from .simple import draw_leads
 
 RECRUIT_SUCCESS_BOUND = Fraction(1, 16)
 RETENTION_BOUND = 0.25
 SUM_NEGATIVE_BOUND = Fraction(1, 66)
-# ants in one matcher call, here and in a sweep's batches; larger unions fall
-# out of cache and get slower
-UNION_ANTS = 1 << 14
 
 
 class ScenarioError(ValueError):
@@ -89,12 +82,6 @@ def _check_trials(trials):
         raise ScenarioError("trials must be positive")
 
 
-def _chunks(trials, m):
-    """Trials in each successive chunk for pools of m ants, drawn lazily."""
-    per = max(1, UNION_ANTS // m)
-    return (min(per, trials - t) for t in range(0, trials, per))
-
-
 def _bernoulli_se(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1 - p), 0.0) / trials)
 
@@ -123,8 +110,8 @@ def recruit_success_rate(spec: ScenarioSpec) -> EstimateReport:
     designated = int(flags.argmax())
     rng = stream_from_key(spec.seed)
     hits = 0
-    for t in _chunks(spec.trials, m):
-        pairs, _returned = match_arrays(np.tile(flags, t), np.tile(targets, t), rng, pool=m)
+    for t in chunks(spec.trials, m):
+        pairs = match_arrays(np.tile(flags, t), np.tile(targets, t), rng, np.full(t, m))[0]
         # a recruiter leads at most one ant, so a trial has at most one hit
         lead = pairs[:, 0]
         hits += int(np.count_nonzero((lead % m == designated) & (lead != pairs[:, 1])))
@@ -167,16 +154,15 @@ def ignorance_retention(n: int, trials: int, seed: int) -> EstimateReport:
     # ignorant ants at the start and at the end of each round, over all trials
     ignorant = np.zeros((max_rounds, 2), dtype=np.int64)
     finite = []
-    for t in _chunks(trials, n):
+    for t in chunks(trials, n):
         # one row per trial not yet fully informed
         informed = np.zeros((t, n), dtype=bool)
         informed[:, 0] = True
         r = 0
         while informed.size and r < max_rounds:
             r += 1
-            _pairs, returned = match_arrays(
-                informed.ravel(), np.where(informed, 1, 2).ravel(), rng, pool=n
-            )
+            _pairs, returned = match_arrays(informed.ravel(), np.where(informed, 1, 2).ravel(),
+                                            rng, np.full(len(informed), n))
             now = informed | (returned.reshape(informed.shape) == 1)
             ignorant[r - 1] += informed.size - informed.sum(), now.size - now.sum()
             done = now.all(axis=1)
@@ -230,8 +216,8 @@ def nest_delta_distribution(spec: ScenarioSpec) -> EstimateReport:
     neg = np.zeros(ngroups, dtype=np.int64)
     zero = np.zeros(ngroups, dtype=np.int64)
     pos = np.zeros(ngroups, dtype=np.int64)
-    for t in _chunks(spec.trials, m):
-        pairs, _returned = match_arrays(np.tile(flags, t), np.tile(targets, t), rng, pool=m)
+    for t in chunks(spec.trials, m):
+        pairs = match_arrays(np.tile(flags, t), np.tile(targets, t), rng, np.full(t, m))[0]
         led = pairs[pairs[:, 0] != pairs[:, 1]]
         # each led ant moves from its group to its recruiter's, in its own trial
         cell = led // m * ngroups + gid[led % m]
@@ -363,7 +349,7 @@ def _profile_commitments(n: int, k: int, sizes_by_nest: dict, trials: int = 1) -
     are spread as evenly as possible over the unnamed candidate nests.  The
     k nest ids and a chunk of `_one_recruit_cycle` must fit in memory.
     """
-    t = next(_chunks(trials, n))
+    t = next(chunks(trials, n))
     check_fits(24 * k + t * (ANT_BYTES * n + 8 * (k + 1)), f"n={n} ants over k={k} nests")
     if any(not 1 <= nest <= k for nest in sizes_by_nest):
         raise ScenarioError(f"profile names a nest outside the candidates 1..{k}")
@@ -381,14 +367,15 @@ def _profile_commitments(n: int, k: int, sizes_by_nest: dict, trials: int = 1) -
 def _one_recruit_cycle(commit: np.ndarray, n: int, k: int, rng) -> np.ndarray:
     """One recruitment round of the population-proportional strategy.
 
-    `commit` holds one trial of n ants per row.  Every ant is active; each
-    leads with probability (its nest's population in its row)/n, and one
+    `commit` holds one trial of n ants per row.  Every ant is active and
+    leads by `simple`'s rule on its nest's population in its row, and one
     matcher call reassigns the commitments of every row.
     """
     cells = np.arange(len(commit))[:, None] * (k + 1) + commit
-    p = np.bincount(cells.ravel(), minlength=len(commit) * (k + 1))[cells] / n
-    leads = rng.random(commit.shape) < p
-    _pairs, returned = match_arrays(leads.ravel(), commit.ravel(), rng, pool=n)
+    count = np.bincount(cells.ravel(), minlength=len(commit) * (k + 1))[cells]
+    leads = draw_leads(count, n, rng)
+    _pairs, returned = match_arrays(leads.ravel(), commit.ravel(), rng,
+                                    np.full(len(commit), n))
     return returned.reshape(commit.shape)
 
 
@@ -415,7 +402,7 @@ def ratio_growth(
     eps_before = float(_eps(s1, s2)) if min(s1, s2) > 0 else 0.0
     rng = stream_from_key(seed)
     eps_after = []
-    for t in _chunks(trials, n):
+    for t in chunks(trials, n):
         commit = _one_recruit_cycle(np.tile(commit0, (t, 1)), n, k, rng)
         c1, c2 = (np.count_nonzero(commit == nest, axis=1) for nest in (1, 2))
         hi, lo = np.maximum(c1, c2), np.minimum(c1, c2)
@@ -476,7 +463,7 @@ def dropout_time(
     emptied = []
     # the per-cycle population changes of a trial sum to its end minus its start
     change, cycles = -small * trials, 0
-    for t in _chunks(trials, n):
+    for t in chunks(trials, n):
         # one row per trial whose small nest is not yet empty
         commit = np.tile(commit0, (t, 1))
         cycle = 0

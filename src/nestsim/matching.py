@@ -42,17 +42,26 @@ fixed cost once: one order of the callers of the whole union, and one
 batch of picks in which each caller picks inside its own pool.  No edge
 joins two pools, so the greedy matching of the union is, pool by pool, the
 greedy matching of each pool under the order the union's order induces on
-its callers, itself a uniform order.  `pool=m` lays out equal pools of m
-ants; the engine's batches pass each colony's pool size instead.  Where
-every pool has one size the picks draw with a scalar bound, which numpy
-draws several times faster than a bound per caller, and which gives the
-same values and leaves the stream in the same state.  With one pool the
-draws are a plain call's.
+its callers, itself a uniform order.  Callers give the pools by their
+sizes: the engine's batches pass each colony's pool, the lemma lab equal
+pools of one trial each.  Where every pool has one size the picks draw
+with a scalar bound, which numpy draws several times faster than a bound
+per caller, and which gives the same values and leaves the stream in the
+same state.  With one pool the draws are a plain call's.
+
+A call on a small pool is nearly all fixed cost, so the lemma lab and a
+sweep play their trials in `chunks` of at most UNION_ANTS ants, one call a
+chunk and round.  The constant chunk size fixes the draw order, hence the
+output, and bounds memory; one trial a chunk draws as one call a trial.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# ants in one matcher call, in the lemma lab's chunks and a sweep's batches;
+# larger unions fall out of cache and get slower
+UNION_ANTS = 1 << 14
 
 
 def match_core(src, dst, m):
@@ -87,35 +96,26 @@ def match_core(src, dst, m):
     return recruiter
 
 
-def match_arrays(active, targets, rng, pool=None):
-    """One recruitment round over parallel pool arrays; the one entry point.
+def match_arrays(active, targets, rng, sizes):
+    """One recruitment round over pools laid back to back; the one entry point.
 
-    `active` holds each pool position's recruit flag (bool), `targets` its
-    nest.  Returns (pairs, returned) as int64 arrays in pool positions:
-    pairs has one (recruiter, recruited) row per led ant, self-pairs
-    included, in recruited order; returned holds each position's nest.
-    With `pool`, the arrays hold pools back to back: equal pools of `pool`
-    ants, or, for an int array `pool`, pools of its sizes, empty ones
-    included.
+    `active` holds each pool position's recruit flag (a bool array),
+    `targets` its nest (an int64 array), and `sizes` the int array of the
+    pools' sizes in order, empty pools included.  Returns (pairs, returned)
+    as int64 arrays in pool positions: pairs has one (recruiter, recruited)
+    row per led ant, self-pairs included, in recruited order; returned
+    holds each position's nest.
     """
-    active = np.asarray(active, dtype=bool)
-    targets = np.asarray(targets, dtype=np.int64)
     m = targets.size
-    if pool is None:
-        pool = m
-    elif np.ndim(pool) == 0:
-        if pool < 1 or m % pool:
-            raise ValueError(f"{m} ants do not split into pools of {pool}")
-    elif pool.min() == pool.max():
-        pool = int(pool[0])
     order = rng.permutation(active.nonzero()[0])
-    if np.ndim(pool):
-        ends = np.cumsum(pool)
-        owner = np.searchsorted(ends, order, side="right")
-        high = pool[owner]
-        start = ends[owner] - high
+    if sizes.min() == sizes.max():
+        high = int(sizes[0])
+        start = order // high * high if high < m else 0
     else:
-        high, start = pool, order // pool * pool if pool < m else 0
+        ends = np.cumsum(sizes)
+        owner = np.searchsorted(ends, order, side="right")
+        high = sizes[owner]
+        start = ends[owner] - high
     recruiter = match_core(order, rng.integers(0, high, size=order.size) + start, m)
     led = (recruiter >= 0).nonzero()[0]
     pairs = np.empty((led.size, 2), dtype=np.int64)
@@ -124,3 +124,9 @@ def match_arrays(active, targets, rng, pool=None):
     returned = targets.copy()
     returned[led] = targets[pairs[:, 0]]
     return pairs, returned
+
+
+def chunks(trials, m):
+    """Trials in each successive chunk for pools of m ants, drawn lazily."""
+    per = max(1, UNION_ANTS // m)
+    return (min(per, trials - t) for t in range(0, trials, per))

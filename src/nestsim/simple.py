@@ -19,6 +19,11 @@ import numpy as np
 from .world import K_GO, K_LEAD, K_WAIT, agreed_nest
 
 
+def draw_leads(count, n, rng):
+    """The lead rule, also the lemma lab's: each count leads with probability count/n."""
+    return rng.random(count.shape) < count / n
+
+
 class SimpleCohort:
     """All ants' states as parallel arrays, one row per colony.
 
@@ -40,7 +45,7 @@ class SimpleCohort:
         kind = np.full(target.shape, K_WAIT, np.int8)  # recruitment round
         # with no active ant the draw is empty and leaves the stream as it is
         act = np.flatnonzero(self.active)
-        lead = rng.random(act.size) < self.count.take(act) / self.n
+        lead = draw_leads(self.count.take(act), self.n, rng)
         kind.ravel()[act.compress(lead)] = K_LEAD
         return kind, target
 

@@ -445,9 +445,9 @@ def match_round(calls, rng) -> MatchOutcome:
     ants = [c.ant for c in calls]
     if len(set(ants)) != len(ants):
         raise MatchError("duplicate ant in call set")
-    active = [c.active for c in calls]
-    targets = [c.target for c in calls]
-    pairs, returned = match_arrays(active, targets, rng)
+    active = np.array([c.active for c in calls], dtype=bool)
+    targets = np.array([c.target for c in calls], dtype=np.int64)
+    pairs, returned = match_arrays(active, targets, rng, np.array([len(calls)]))
     returned = returned.tolist()
     return MatchOutcome(
         pairs=tuple(sorted((ants[a], ants[b]) for a, b in pairs.tolist())),

@@ -96,7 +96,7 @@ def test_acceptance_01_matcher_oracle_equivalence():
             for start in range(0, draws, per_call):
                 t = min(per_call, draws - start)
                 pairs, returned = match_arrays(
-                    np.tile(active, t), np.tile(targets, t), rng, pool=m
+                    np.tile(active, t).astype(bool), np.tile(targets, t), rng, np.full(t, m)
                 )
                 recruiter = np.full(t * m, -1)
                 recruiter[pairs[:, 1]] = pairs[:, 0] % m

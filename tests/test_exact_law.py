@@ -3,7 +3,7 @@
 `reference.exact_rounds_law` derives P(first winner at round r) from the
 model alone: uniform search, `simple`'s count/n lead probability and the
 matcher's law enumerated by `exact_distribution`.  Each cell plays its
-trials through `harness.run_cell`, with `lemmas.UNION_ANTS` small so that
+trials through `harness.run_cell`, with `matching.UNION_ANTS` small so that
 the trials span many chunks, and a round cap at the law's horizon.  The
 rounds to convergence must fit the law by a chi-square test at
 alpha = 1e-3, and no trial may converge in a round the law rules out.
@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from nestsim import harness, lemmas
+from nestsim import harness, matching
 from reference import cell_reports, exact_rounds_law
 
 ALPHA = 1e-3
@@ -84,7 +84,7 @@ def test_sweep_rounds_follow_the_exact_law(algorithm, n, pattern, monkeypatch):
     k = 2
     qualities = (1, 0) if pattern == "one-good" else (1, 1)
     law, tail = exact_rounds_law(algorithm, n, k, qualities, HORIZON)
-    monkeypatch.setattr(lemmas, "UNION_ANTS", 256 * n)
+    monkeypatch.setattr(matching, "UNION_ANTS", 256 * n)
     spec = harness.ExperimentSpec(algorithm, (n,), (k,), pattern, TRIALS, seed=1,
                                   max_rounds=HORIZON)
     reports = cell_reports(monkeypatch, spec, n, k)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from nestsim import cli, lemmas
+from nestsim import cli, matching
 from reference import strict_json
 
 
@@ -136,7 +136,7 @@ def test_golden_output(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(SERIAL_GOLDEN))
 def test_one_trial_a_chunk_replays_the_serial_output(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(lemmas, "UNION_ANTS", 1)
+    monkeypatch.setattr(matching, "UNION_ANTS", 1)
     assert digest(CASES[name], tmp_path) == SERIAL_GOLDEN[name]
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+import statistics
 from dataclasses import replace
 
 import pytest
 
-from nestsim import cli, engine, harness, lemmas
+from nestsim import cli, engine, harness, lemmas, matching
 from nestsim.config import ColonyConfig, ConfigError, make_qualities
 from nestsim.engine import run, stream_from_key
 from nestsim.harness import (
@@ -112,10 +113,11 @@ def test_batched_trials_replay_their_lone_runs(algorithm, n, monkeypatch):
     trial once in trial order, and a cell of one trial is the lone run on
     the cell's stream.
 
-    A budget of 2n ants splits five trials into chunks of 2, 2 and 1, and a
-    cap of 45 rounds is hit by some trials and not by others.
+    A budget of 2n ants splits five trials into chunks of 2, 2 and 1.  The
+    cap is the median of the trials' rounds to converge under the default
+    cap, so that the trials above it hit it and the others do not.
     """
-    monkeypatch.setattr(lemmas, "UNION_ANTS", 2 * n)
+    monkeypatch.setattr(matching, "UNION_ANTS", 2 * n)
     chunks = []
 
     def recording_run(configs, rng):
@@ -130,13 +132,18 @@ def test_batched_trials_replay_their_lone_runs(algorithm, n, monkeypatch):
 
     def configs(pattern, trials):
         rng = stream_from_key(2, n, 3)
-        return rng, [ColonyConfig(n, 3, make_qualities(3, pattern, rng), algorithm, 45)
+        return rng, [ColonyConfig(n, 3, make_qualities(3, pattern, rng), algorithm, cap)
                      for _ in range(trials)]
 
     monkeypatch.setattr(harness, "run", recording_run)
+    patterns = ("one-good", "all-good", "random:0.5", "1,0,1")
+    uncapped = [rep["rounds_to_converge"] for pattern in patterns
+                for *_, reps in play(ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 2))[1]
+                for rep in map(strict_json, reps) if rep["converged"]]
+    cap = statistics.median_low(uncapped)
     reasons = set()
-    for pattern in ("one-good", "all-good", "random:0.5", "1,0,1"):
-        spec = ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 2, max_rounds=45)
+    for pattern in patterns:
+        spec = ExperimentSpec(algorithm, (n,), (3,), pattern, 5, 2, max_rounds=cap)
         csv, played = play(spec)
         assert play(spec) == (csv, played)
         assert [len(chunk) for chunk, _, _ in played] == [2, 2, 1]

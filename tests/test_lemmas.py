@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nestsim import engine, lemmas
+from nestsim import engine, lemmas, matching
 from nestsim.engine import stream_from_key
 from nestsim.lemmas import (
     ScenarioError,
@@ -238,9 +238,10 @@ def _spy_calls(monkeypatch):
     calls = []
     match_arrays = lemmas.match_arrays
 
-    def spy(active, targets, rng, pool=None):
-        pairs, returned = match_arrays(active, targets, rng, pool)
-        calls.append((pool, len(targets) // pool, pairs))
+    def spy(active, targets, rng, sizes):
+        pairs, returned = match_arrays(active, targets, rng, sizes)
+        assert (sizes == sizes[0]).all()  # one pool a trial
+        calls.append((int(sizes[0]), sizes.size, pairs))
         return pairs, returned
 
     monkeypatch.setattr(lemmas, "match_arrays", spy)
@@ -260,7 +261,7 @@ def test_chunked_counts_equal_per_trial_counts(union_ants, monkeypatch):
     # the array counts over a chunk's pools against the one-trial loops;
     # 11 ants end each estimator's 1001 trials on a chunk of 1 after chunks
     # of 5 pools of 2 ants, or of 2 pools of 5
-    monkeypatch.setattr(lemmas, "UNION_ANTS", union_ants)
+    monkeypatch.setattr(matching, "UNION_ANTS", union_ants)
     calls = _spy_calls(monkeypatch)
     spec = ScenarioSpec(((1, 1, 1), (2, 1, 0)), 1_001, 4)
     report = recruit_success_rate(spec)

@@ -199,7 +199,8 @@ def test_match_core_equals_match_loop(pool):
     want_recruiter, want_returned = match_loop(active, targets, order, picks)
     assert recruiter.tolist() == want_recruiter
     # match_arrays dealt the same draws pairs and returns as the loop does
-    pairs, returned = match_arrays(active, targets, _Dealt(order, picks))
+    pairs, returned = match_arrays(np.array(active, dtype=bool), np.array(targets),
+                                   _Dealt(order, picks), np.array([len(targets)]))
     assert pairs.tolist() == [[r, x] for x, r in enumerate(want_recruiter) if r != -1]
     assert returned.tolist() == want_returned
 
@@ -233,7 +234,7 @@ def test_match_arrays_replays_documented_draws(m):
     # every pool size must pair exactly as the loop does
     for seed in range(5):
         active, targets = _pool(seed, m)
-        pairs, returned = match_arrays(active, targets, stream_from_key(seed))
+        pairs, returned = match_arrays(active, targets, stream_from_key(seed), np.array([m]))
         want_pairs, want_returned, _ = _documented_draws(active, targets, seed)
         assert pairs.dtype == np.int64 and returned.dtype == np.int64
         assert pairs.shape[1] == 2
@@ -243,14 +244,14 @@ def test_match_arrays_replays_documented_draws(m):
 
 @pytest.mark.parametrize("m", _SIZES)
 def test_one_pool_draws_as_a_plain_call(m):
-    # pool=None and a single pool of every ant give the plain call's output
-    # and leave the stream where it leaves it
+    # a single pool of every ant, alone or between empty pools, gives the
+    # plain call's output and leaves the stream where it leaves it
     for seed in range(3):
         active, targets = _pool(seed, m)
         want_pairs, want_returned, want_next = _documented_draws(active, targets, seed)
-        for pool in (None, m):
+        for sizes in (np.array([m]), np.array([0, m, 0])):
             rng = stream_from_key(seed)
-            pairs, returned = match_arrays(active, targets, rng, pool=pool)
+            pairs, returned = match_arrays(active, targets, rng, sizes)
             assert pairs.tolist() == want_pairs
             assert returned.tolist() == want_returned
             assert rng.random() == want_next
@@ -311,12 +312,9 @@ def test_pooled_call_equals_match_loop_pool_by_pool(union):
         )
         want_pairs += [[lo + r, lo + x] for x, r in enumerate(recruiter) if r != -1]
         want_returned += pool_returned
-    # pools of one size can also be passed as `pool=m`
-    forms = [np.array(sizes)] + ([sizes[0]] if len(set(sizes)) == 1 else [])
-    for pool in forms:
-        pairs, returned = match_arrays(active, targets, stream_from_key(seed), pool=pool)
-        assert pairs.tolist() == want_pairs
-        assert returned.tolist() == want_returned
+    pairs, returned = match_arrays(active, targets, stream_from_key(seed), np.array(sizes))
+    assert pairs.tolist() == want_pairs
+    assert returned.tolist() == want_returned
 
 
 @pytest.mark.parametrize("bounds", [[64] * 40, [1, 5, 64, 2, 130, 3, 1000] * 6])
@@ -336,19 +334,16 @@ def test_bound_per_caller_draws_as_consecutive_scalar_calls(bounds):
         assert one_call.random() == after
 
 
-@pytest.mark.parametrize("pool", [None, 3, np.array([2, 0, 4])])
-def test_no_leader_draws_nothing(pool):
+# one pool of every ant, equal pools, and unequal pools with an empty one
+@pytest.mark.parametrize("sizes", [np.array([6]), np.array([3, 3]), np.array([2, 0, 4])],
+                         ids=["None", "3", "pool2"])
+def test_no_leader_draws_nothing(sizes):
     # pools where nobody leads pair nobody and leave the stream as it was
     rng = stream_from_key(4)
     state = rng.bit_generator.state
     targets = np.arange(6) % 3 + 1
-    pairs, returned = match_arrays(np.zeros(6, dtype=bool), targets, rng, pool)
+    pairs, returned = match_arrays(np.zeros(6, dtype=bool), targets, rng, sizes)
     assert pairs.shape == (0, 2)
     assert returned.tolist() == targets.tolist()
     assert rng.bit_generator.state == state
 
-
-@pytest.mark.parametrize("m, pool", [(10, 3), (4, 0), (4, 8)])
-def test_pool_must_split_the_ants(m, pool):
-    with pytest.raises(ValueError):
-        match_arrays(np.ones(m, dtype=bool), np.ones(m), stream_from_key(0), pool=pool)
