@@ -3,11 +3,12 @@
 Every seeded output of nestsim is meant to be byte-identical from one
 version to the next unless a change says otherwise.  These hashes pin a
 `run` trace and report for both algorithms over small and medium colonies,
-three sweep CSVs (one with qualities drawn per trial, one with a round cap
+four sweep CSVs (one with qualities drawn per trial, one with a round cap
 that trials hit), and one JSON report per lemma estimator, and every line of
 a trace or report must parse as strict JSON.  The colonies range from
 n = 64 to 4096, so the matcher's greedy rounds are pinned on pools of a
-few ants and of thousands.
+few ants and of thousands.  Most runs have k = 4; two runs and a sweep at
+k = 9 to 300 pin ants' visit records that span several bytes.
 
 `SERIAL_GOLDEN` pins the Monte Carlo lemma outputs of one trial a chunk,
 which replay the estimators' older one-call-per-trial draws.  A change that
@@ -51,6 +52,16 @@ CASES = {
     "sweep-optimal-capped": ["sweep", "--algo", "optimal", "--n", "16,256",
                              "--k", "2,4", "--qualities", "one-good", "--trials",
                              "8", "--seed", "4", "--max-rounds", "40"],
+    # rows of `visited` that span several bytes: 38 bytes and uint16
+    # locations at k = 300, 2 bytes at k = 12, and batched rows at k = 9, 12
+    "run-optimal-n1024-k300-all-good-s1": ["run", "--algo", "optimal", "--n", "1024",
+                                           "--k", "300", "--qualities", "all-good",
+                                           "--seed", "1", "--verbose-trace"],
+    "run-simple-n1024-k12-all-good-s1": ["run", "--algo", "simple", "--n", "1024",
+                                         "--k", "12", "--qualities", "all-good",
+                                         "--seed", "1", "--verbose-trace"],
+    "sweep-optimal-k9-12": ["sweep", "--algo", "optimal", "--n", "64", "--k", "9,12",
+                            "--qualities", "all-good", "--trials", "8", "--seed", "5"],
     "lemma-recruit-success": ["lemma", "recruit-success", "--active", "3",
                               "--passive", "2", "--trials", "2000", "--seed", "3"],
     "lemma-retention": ["lemma", "retention", "--n", "256", "--trials", "20",
@@ -72,6 +83,7 @@ GOLDEN = {
     "lemma-ratio-growth": "2eddb56276fd2b2e5a316379f29c14bfe6696a21a92dc81f9afc50ac1f08861c",
     "lemma-recruit-success": "f22f06959db01a66d165bd8615ed5b52e048b266ae82bb7259e1330e2157d332",
     "lemma-retention": "9d790ae651877df29fc9ef589c71d28845a44582699a9b9994d1824138ea7a1d",
+    "run-optimal-n1024-k300-all-good-s1": "0e28bd4a2c461668ac6ea5660ce38234896c0b15c855569dcfe6c67e490d01fc",
     "run-optimal-n256-all-good-s1": "927b34868645259d10fde0b69cd292489d835d9c5a20cf059d3b9eb128fba6ea",
     "run-optimal-n256-all-good-s2": "1f91cafabf7959e7ce559e00c031f63ed4a7b6313cb51e437d1c0cc41c6d21d3",
     "run-optimal-n256-one-good-s1": "227798937d4dec186505a5a5290a2ff9b972780342e1b6616c14bdf6d1b64b8f",
@@ -84,6 +96,7 @@ GOLDEN = {
     "run-optimal-n64-all-good-s2": "e7b1b4629ce6c824f30305f442a726e73541b5e340676e2d3e2555730b56767a",
     "run-optimal-n64-one-good-s1": "75e530b8a2621fcc72c0e3111f43111e7881a7be6a4f5c7a0c99e3afaf301387",
     "run-optimal-n64-one-good-s2": "137c7300da6b41fdd6b4c83eb2afc772ca6c562e21186d7902262be462ad4380",
+    "run-simple-n1024-k12-all-good-s1": "d447b35165fd931ae42ead265780c5928ba54bd2d97e7cd1901825636fe969a9",
     "run-simple-n256-all-good-s1": "c3c030da0c41c10f9b0bb721a8851afbd60749c12c98389a508c03154ee106fc",
     "run-simple-n256-all-good-s2": "47896077a4e5a3ed440f9905dcaad145521df984e109950e9d9f721a40738a29",
     "run-simple-n256-one-good-s1": "1042d03f57b8431f9bd665c4c0f4ca9fe1466e181aede75d90827249ae21c5a4",
@@ -98,6 +111,7 @@ GOLDEN = {
     "run-simple-n64-one-good-s2": "f5bb8d3bb2984c6371633c413bf28a01501e6fb57a5e547568735752ee448f41",
     "sweep-optimal": "af5f08faa708f8d7be8bd84b4b80371b869e868de4346924142d889002ab24b7",
     "sweep-optimal-capped": "96244d37acf0369a03fbcee4c719b5a3f4b31e30139a0bc8173335647fd8dd1c",
+    "sweep-optimal-k9-12": "d5fdc9230eabe91e4bd1b81896831c1a2b703ee4694b5d322e84ba59ceeeb75f",
     "sweep-simple-random": "b2b76dc22dfd088f941d66e094cca87232897e554fcb8ceeb8165f66eff9fbfc",
 }
 
