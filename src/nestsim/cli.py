@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import harness, lemmas
@@ -49,11 +50,11 @@ def _out_path(arg, default_name):
 
 
 def _emit(text: str, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    """Write `text` to `path` (stdout if None) in 2**20-character slices, never all at once."""
+    if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    with nullcontext(sys.stdout) if path is None else path.open("w", encoding="utf-8") as out:
+        out.writelines(text[i:i + 2**20] for i in range(0, len(text), 2**20))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .world import row_bytes
+
 ALGORITHMS = ("optimal", "simple")
 
 # Constants the published analyses instantiate the nest-count regime and the
@@ -15,6 +17,7 @@ REGIME_D = 64
 # "random:p" with more expected draws of k nests than this is rejected
 MAX_QUALITY_DRAWS = 10_000
 ANT_BYTES = 128  # bytes of per-ant arrays a round or a matcher call holds: a floor
+NEST_BYTES = 24  # bytes of per-nest arrays a colony holds: its qualities and a round's counts
 
 
 class ConfigError(ValueError):
@@ -60,11 +63,12 @@ def check_fits(nbytes: int, what: str):
 
 
 def check_size(n: int, k: int):
-    """Reject n or k below 1, or a colony whose `visited` (n·(k + 1) bytes)
-    and per-ant arrays (ANT_BYTES an ant) exceed physical memory."""
+    """Reject n or k below 1, or a colony whose `visited` (`row_bytes(k)` an ant),
+    per-ant (ANT_BYTES an ant) and per-nest arrays (NEST_BYTES a nest) exceed memory."""
     if n < 1 or k < 1:
         raise ConfigError("n and k must be positive integers")
-    check_fits(n * (k + 1 + ANT_BYTES), f"a colony of n={n} ants and k={k} nests")
+    check_fits(n * (row_bytes(k) + ANT_BYTES) + NEST_BYTES * k,
+               f"a colony of n={n} ants and k={k} nests")
 
 
 def analyzed_k_limit(algorithm: str, n: int) -> float:

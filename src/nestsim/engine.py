@@ -34,7 +34,7 @@ from .config import analyzed_k_limit
 from .matching import match_arrays
 from .optimal import OptimalCohort
 from .simple import SimpleCohort
-from .world import HOME, K_LEAD, K_SEARCH, K_WAIT, WorldState, keep_colonies, violations
+from .world import HOME, K_LEAD, K_SEARCH, K_WAIT, WorldState, keep_colonies, violations, visit
 
 
 class EngineError(RuntimeError):
@@ -122,11 +122,11 @@ def _resolve_arrays(world: WorldState, kind, target, rng):
     colonies = len(target)
     # the matcher resolves the union of every colony's recruiters, so moves
     # index flat views of the rows in row-major order
-    res_nest, nest, seen = target, target.ravel(), world.visited.ravel()
+    res_nest, nest = target, target.ravel()
     searchers = np.flatnonzero(kind == K_SEARCH)
     if searchers.size:
         nest[searchers] = rng.integers(1, k + 1, size=searchers.size)
-        seen[searchers * (k + 1) + nest[searchers]] = True
+        visit(world, searchers, nest[searchers])
     recruiting = kind >= K_WAIT  # wait or lead
     led = rec = np.flatnonzero(recruiting)  # nobody is led where nobody recruits
     if rec.size:
@@ -136,7 +136,7 @@ def _resolve_arrays(world: WorldState, kind, target, rng):
         moved = pairs[:, 1].compress(pairs[:, 0] != pairs[:, 1])
         led = rec[moved]
         nest[led] = returned[moved]
-        seen[led * (k + 1) + nest[led]] = True
+        visit(world, led, nest[led])
     world.location = np.where(recruiting, HOME, res_nest)
     slots = world.location + (k + 1) * np.arange(colonies)[:, None]
     counts = np.bincount(slots.ravel(), minlength=colonies * (k + 1))
@@ -203,16 +203,16 @@ def run(configs, rng, verbose: bool = False):
     at its first round with a winner ("converged"), after its
     `max_rounds` rounds ("round_cap"), or at a round whose requests break
     the primitive contract ("precondition_violation"), and leaves the batch
-    there.  The trace keeps the ants' locations only when `verbose` is set.
-    Every report says whether the batch's k lies in the regime the paper
-    analyzes at its n.
+    there.  The trace keeps the ants' locations only when `verbose` is set,
+    a byte an ant up to k = 255 (the smallest dtype that holds nest k).  Every
+    report says whether the batch's k lies in the regime the paper analyzes at its n.
     """
     limit = analyzed_k_limit(configs[0].algorithm, configs[0].n)
     regime = {"in_analyzed_regime": configs[0].k <= limit, "k_limit": limit}
-    caps = np.array([c.max_rounds for c in configs])
+    caps, spot = np.array([c.max_rounds for c in configs]), np.min_scalar_type(configs[0].k)
     winning, last, played = np.zeros_like(caps), np.zeros_like(caps), []
     for r, live, counts, tallies, location, winners, keep in rounds(configs, rng):
-        played.append((r, live, counts, tallies, location if verbose else None))
+        played.append((r, live, counts, tallies, location.astype(spot) if verbose else None))
         winning[live], last[live] = winners, r
         keep[:] = (winners == 0) & (caps[live] != r)
     reports = [ConvergenceReport(True, int(w), int(r), "converged", **regime) if w else

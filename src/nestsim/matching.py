@@ -113,7 +113,7 @@ def match_arrays(active, targets, rng, sizes):
         start = order // high * high if high < m else 0
     else:
         ends = np.cumsum(sizes)
-        owner = np.searchsorted(ends, order, side="right")
+        owner = np.repeat(np.arange(sizes.size), sizes)[order]  # each caller's pool
         high = sizes[owner]
         start = ends[owner] - high
     recruiter = match_core(order, rng.integers(0, high, size=order.size) + start, m)

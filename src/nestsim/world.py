@@ -8,7 +8,8 @@ at; `violations` is the one check of that rule.  Counts returned by the
 primitives are end-of-round values, after all the round's moves.
 
 A batch of colonies of one size holds every per-ant array with one row per
-colony: entry [c, i] is ant i of colony c.
+colony: entry [c, i] is ant i of colony c.  Only this module knows the bits
+of `visited`: bit j (byte j >> 3, bit j & 7) of an ant's row is nest j.
 """
 
 from __future__ import annotations
@@ -28,8 +29,19 @@ class WorldState:
         self.k = k
         # before round 1 every ant is at the home nest
         self.location = np.zeros((colonies, n), dtype=np.int64)
-        self.visited = np.zeros((colonies, n, k + 1), dtype=bool)
-        self.visited[:, :, HOME] = True
+        self.visited = np.zeros((colonies, n, row_bytes(k)), dtype=np.uint8)
+        self.visited[:, :, HOME >> 3] = 1 << (HOME & 7)
+
+
+def row_bytes(k: int) -> int:
+    return k // 8 + 1  # bytes of an ant's visit history, a bit for each nest 0..k
+
+
+def visit(world: WorldState, ants, nests):
+    """Mark the distinct `ants`, flat indices over the batch, as visitors of `nests`."""
+    cell = ants * row_bytes(world.k) + (nests >> 3)
+    # distinct ants write distinct bytes, so the gathered |= loses no bit
+    world.visited.reshape(-1)[cell] |= (1 << (nests & 7)).astype(np.uint8)
 
 
 def keep_colonies(obj, keep):
@@ -45,10 +57,13 @@ def violations(world: WorldState, kind, target):
     Search is unconditional.  Go, wait and lead need a candidate nest id the
     ant has visited before.
     """
-    cell = np.arange(0, kind.size * (world.k + 1), world.k + 1).reshape(kind.shape) + target
-    # a target off the candidate range reads some in-range cell; the range check masks it
-    ok = world.visited.take(cell, mode="clip") & (target >= 1) & (target <= world.k)
-    return (kind != K_SEARCH) > ok  # not a search, and not ok
+    cell = np.arange(0, world.visited.size, world.visited.shape[2]).reshape(kind.shape)
+    if world.k > 7:  # in a one-byte row every candidate nest is in byte 0
+        cell += target >> 3
+    ok = world.visited.take(cell, mode="clip")  # an off-range target reads any byte
+    ok >>= np.bitwise_and(target, 7, dtype=np.uint8, casting="unsafe")
+    ok &= (target >= 1) & (target <= world.k)  # keeps bit 0, the target's, where in range
+    return (kind != K_SEARCH) > ok.view(bool)  # not a search, and not ok
 
 
 def agreed_nest(nest, settled):

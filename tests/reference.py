@@ -10,7 +10,8 @@ loop does, and the matcher's exact outcome distribution on tiny pools is
 enumerated with the loop, so that oracle shares no pairing code with the
 program.  `exact_rounds_law` carries those exact laws through whole rounds
 of a tiny colony.  `strict_json` reads the JSON that nestsim writes without
-accepting what JSON lacks.
+accepting what JSON lacks.  `visited_dense` reads the ants' packed visit
+bits as one bool per nest; `visit_one` and `visit_all` mark visits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from nestsim import engine, harness
 from nestsim.engine import _resolve_arrays
 from nestsim.matching import match_arrays
 from nestsim.optimal import ACTIVE, FINAL, PASSIVE
-from nestsim.world import HOME, K_GO, K_LEAD, K_SEARCH, K_WAIT, WorldState, violations
+from nestsim.world import HOME, K_GO, K_LEAD, K_SEARCH, K_WAIT, WorldState, violations, visit
 
 MAX_EXACT_POOL = 6
 
@@ -40,6 +41,23 @@ def _not_json(token):
 def strict_json(text: str):
     """`json.loads` that rejects the NaN, Infinity and -Infinity tokens."""
     return json.loads(text, parse_constant=_not_json)
+
+
+def visited_dense(world: WorldState):
+    """`world.visited` unpacked: a colonies × n × (k + 1) bool array whose
+    entry [c, i, j] says whether ant i of colony c has visited nest j."""
+    bits = np.unpackbits(world.visited, axis=-1, count=world.k + 1, bitorder="little")
+    return bits.view(bool)
+
+
+def visit_all(world: WorldState):
+    """Mark every nest visited by every ant: set every bit of every row."""
+    world.visited[:] = 0xFF
+
+
+def visit_one(world: WorldState, ant: int, nest: int):
+    """Mark ant `ant`, a flat index over the batch, as having visited `nest`."""
+    visit(world, np.array([ant]), np.array([nest]))
 
 
 def validate(world: WorldState, kind, target) -> str | None:

@@ -48,6 +48,8 @@ def test_every_span_installs_and_every_metric_reports(tmp_path):
     metrics, missing = layers.layer_metrics(spans)
     assert missing == []
     assert set(metrics) == set(layers.PER_LAYER)
+    # the largest `visited` is the run's: n = 256 rows of k // 8 + 1 = 1 byte
+    assert metrics["world.visited_bytes"]["value"] == 256 * (4 // 8 + 1)
     # the core is reached through the module global, so its span is timed
     assert spans.count["matching.calls"] > 0
     assert spans.total["matching.match_core"] > 0

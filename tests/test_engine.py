@@ -20,6 +20,9 @@ from reference import (
     play_on,
     resolve_round,
     strict_json,
+    visit_all,
+    visit_one,
+    visited_dense,
 )
 
 
@@ -369,7 +372,7 @@ def test_resolve_round_all_search_single_nest():
 def test_resolve_round_lone_recruiter():
     world = WorldState(3, 2)
     world.location[:] = [0, 1, 2]
-    world.visited[:] = True
+    visit_all(world)
     out = resolve_round(
         {0: Recruit(1, 2), 1: Go(1), 2: Go(2)}, world, (1, 0), stream_from_key(0)
     )
@@ -379,7 +382,7 @@ def test_resolve_round_lone_recruiter():
 
 def test_resolve_round_all_recruiting():
     world = WorldState(6, 2)
-    world.visited[:] = True
+    visit_all(world)
     reqs = {a: Recruit(a % 2, 1 + a % 2) for a in range(6)}
     out = resolve_round(reqs, world, (1, 1), stream_from_key(5))
     assert all(isinstance(out[a], RecruitResult) for a in range(6))
@@ -414,13 +417,13 @@ def test_resolve_round_rejects_unvisited_target():
 
 def test_being_led_marks_nest_visited():
     world = WorldState(2, 2)
-    world.visited[0, 0, 1] = True
-    world.visited[0, 1, 2] = True
+    visit_one(world, 0, 1)
+    visit_one(world, 1, 2)
     rng = stream_from_key(0)
     for _ in range(30):
         out = resolve_round({0: Recruit(1, 1), 1: Recruit(0, 2)}, world, (1, 1), rng)
         if out[1].nest == 1:
-            assert world.visited[0, 1, 1]
+            assert visited_dense(world)[0, 1, 1]
             return
     pytest.fail("waiter was never led away in 30 rounds")
 
@@ -433,7 +436,7 @@ def test_search_results_track_locations():
     tallies = np.bincount([out[a].nest for a in range(50)], minlength=4)
     for a in range(50):
         assert out[a].count == tallies[out[a].nest]
-        assert world.visited[0, a, out[a].nest]
+        assert visited_dense(world)[0, a, out[a].nest]
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -457,17 +460,17 @@ def test_visits_grow_only_where_they_can(algorithm, n, monkeypatch):
         return out
 
     def checked(world, kind, target, rng):
-        want = shadow.setdefault("visited", world.visited.copy())
+        want = shadow.setdefault("visited", visited_dense(world))
         shadow["pairs"] = np.empty((0, 2), dtype=np.int64)  # a round without recruiters
         asked = target.copy()
         res_nest, res_count, counts, led = resolve(world, kind, target, rng)
-        ants = np.indices(world.location.shape)
-        assert world.visited[(*ants, world.location)].all()
-        assert world.visited[(*ants, res_nest)].all()
+        ants, visited = np.indices(world.location.shape), visited_dense(world)
+        assert visited[(*ants, world.location)].all()
+        assert visited[(*ants, res_nest)].all()
         want[(*ants, world.location)] = True
         rec = np.isin(kind, (K_WAIT, K_LEAD))
         want[rec, res_nest[rec]] = True
-        assert np.array_equal(world.visited, want)
+        assert np.array_equal(visited, want)
         # the matcher's pool positions are the recruiters' flat positions
         pool, recruiter = np.flatnonzero(rec), np.full(kind.size, -1)
         recruiter[pool[shadow["pairs"][:, 1]]] = pool[shadow["pairs"][:, 0]]

@@ -202,6 +202,8 @@ def test_cli_run_usage_error():
     ["run", "--n", str(10**12)],
     ["run", "--k", str(10**12)],
     ["sweep", "--n", f"64,{10**12}"],
+    # one ant's packed row is small; the k qualities and counts are not
+    ["run", "--n", "1", "--k", str(10**10)],
 ])
 def test_inputs_too_large_to_allocate_exit_2(argv, monkeypatch, capsys):
     """A colony whose arrays cannot fit in memory is an exit-2 error raised

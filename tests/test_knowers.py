@@ -20,6 +20,7 @@ from nestsim import engine
 from nestsim.config import ColonyConfig
 from nestsim.engine import stream_from_key
 from nestsim.lemmas import RETENTION_BOUND, _bernoulli_se
+from reference import visited_dense
 
 K = 4
 SEEDS = 20
@@ -57,7 +58,7 @@ def test_knowers_at_most_double_and_ignorance_is_retained(algorithm, n, monkeypa
 
     def spy(world, kind, target, rng):
         out = resolve(world, kind, target, rng)
-        seen["knowers"] = world.visited[:, :, 1:].sum(1)
+        seen["knowers"] = visited_dense(world)[:, :, 1:].sum(1)
         return out
 
     monkeypatch.setattr(engine, "_resolve_arrays", spy)

@@ -18,6 +18,7 @@ from nestsim.lemmas import (
 )
 from nestsim.simple import SimpleCohort
 from nestsim.world import WorldState
+from reference import visit_all
 
 
 def test_scenario_spec_validation():
@@ -171,7 +172,7 @@ def test_recruit_cycle_is_the_simple_cohort_s_recruitment_round(n, k, sizes, tri
     cohort = SimpleCohort(np.tile(commit0, (trials, 1)), np.tile(populations, (trials, 1)),
                           np.ones((trials, n), dtype=bool))
     world = WorldState(n, k, trials)
-    world.visited[:] = True
+    visit_all(world)
     shipped, lab = stream_from_key(seed), stream_from_key(seed)
     kind, target = cohort.emit(2, shipped)
     res_nest, res_count, _counts, led = engine._resolve_arrays(world, kind, target, shipped)
