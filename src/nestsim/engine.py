@@ -76,13 +76,15 @@ class Trace:
 
     `rounds` holds each round's (r, live, counts, tallies, location or
     None) as `engine.rounds` yielded them.  The records, one dict per colony
-    and round, colony after colony, are built only when read.
+    and round, colony after colony, are built only when read.  `to_jsonl`
+    writes the same text as `dumps` of each record, but spells a row of
+    locations by gathering a digit table, with no Python int per ant.
     """
 
     colonies: int
     rounds: list
 
-    def _records(self):
+    def _records(self, spell=np.ndarray.tolist):
         for t in range(self.colonies):
             # a colony plays rounds 1, 2, ... until it leaves, and `live` is sorted
             for r, live, counts, tallies, location in self.rounds:
@@ -92,7 +94,7 @@ class Trace:
                 rec = {"round": r, "counts": counts[i].tolist(),
                        "states": {name: int(tally[i]) for name, tally in tallies.items()}}
                 if location is not None:
-                    rec["locations"] = location[i].tolist()
+                    rec["locations"] = spell(location[i])
                 yield rec
 
     @property
@@ -100,7 +102,19 @@ class Trace:
         return list(self._records())
 
     def to_jsonl(self) -> str:
-        return "".join(dumps(rec) + "\n" for rec in self._records())
+        # b"0,", b"1,", ... up to the largest nest held, NUL-padded to the widest;
+        # the largest is a Python int, since uint8 255 + 1 wraps to 0
+        top = max((int(loc.max(initial=0)) for *_, loc in self.rounds if loc is not None), default=0)
+        digits = np.array([b"%d," % v for v in range(top + 1)])
+        lines = []
+        for rec in self._records(lambda row: digits[row].tobytes().replace(b"\0", b"")[:-1]):
+            spelt = rec.pop("locations", None)
+            if spelt is None:
+                lines.append(dumps(rec) + "\n")
+            else:  # its key sorts after "counts", a list of ints, so 0 marks its place
+                head, tail = dumps(rec | {"locations": 0}).split('"locations":0', 1)
+                lines.append(f'{head}"locations":[{spelt.decode()}]{tail}\n')
+        return "".join(lines)
 
 
 def stream_from_key(*key: int) -> np.random.Generator:

@@ -5,11 +5,15 @@ and reports every metric resting on a name it cannot find as missing.
 This test installs those spans as `bench/run.py` does and drives one
 verbose `run`, one small `sweep` and one lemma estimator through
 `cli.main`, so that a rename in `src/` fails here and not only in a traced
-benchmark pass.
+benchmark pass.  The metrics it reports, with the tracing overhead that
+`bench/run.py` adds, must be every `per_layer` name `BENCHMARK.json`
+declares: a traced result that lacks one of them is refused, even when the
+pass exits 0.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from nestsim import cli
@@ -17,6 +21,7 @@ from nestsim.config import ColonyConfig, make_qualities
 from nestsim.engine import run, stream_from_key
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+SPEC = LAYERS.parents[1] / "BENCHMARK.json"
 MODULES = ("cli", "harness", "engine", "lemmas", "matching", "optimal", "simple")
 
 
@@ -48,6 +53,8 @@ def test_every_span_installs_and_every_metric_reports(tmp_path):
     metrics, missing = layers.layer_metrics(spans)
     assert missing == []
     assert set(metrics) == set(layers.PER_LAYER)
+    declared = json.loads(SPEC.read_text(encoding="utf-8"))["per_layer"]
+    assert set(metrics) | {"tracing.overhead_s"} == {m["name"] for m in declared}
     # the largest `visited` is the run's: n = 256 rows of k // 8 + 1 = 1 byte
     assert metrics["world.visited_bytes"]["value"] == 256 * (4 // 8 + 1)
     # the core is reached through the module global, so its span is timed

@@ -217,6 +217,49 @@ def test_a_verbose_batch_records_each_colony_s_locations(algorithm):
         assert rec["counts"] == counts.tolist()
 
 
+def _dumped(trace) -> str:
+    """The oracle for `Trace.to_jsonl`: `dumps` of each record, a line each."""
+    return "".join(engine.dumps(rec) + "\n" for rec in trace.records)
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_to_jsonl_writes_each_record_of_a_batch_as_dumps_does(algorithm, verbose):
+    configs = [_config(algorithm, qualities=q)
+               for q in ((1, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1))]
+    trace, reports = run(configs, stream_from_key(5), verbose=verbose)
+    # the colonies leave at different rounds, so later rounds hold fewer rows
+    assert len({rep.rounds_to_converge for rep in reports}) >= 3
+    assert trace.to_jsonl() == _dumped(trace)
+
+
+@pytest.mark.parametrize("algorithm", ["optimal", "simple"])
+def test_to_jsonl_of_a_one_ant_colony(algorithm):
+    trace, _ = run([_config(algorithm, n=1)], stream_from_key(2), verbose=True)
+    assert trace.to_jsonl() == _dumped(trace)
+    assert all(len(rec["locations"]) == 1 for rec in trace.records)
+
+
+@pytest.mark.parametrize("dtype, nests", [
+    (np.uint8, [0, 0, 0]),  # every ant home: a one-entry digit table
+    (np.uint8, [0, 9, 10, 99, 100, 255]),  # 255 + 1 wraps in uint8
+    (np.uint16, [0, 9, 256, 9999, 10000, 65535]),
+])
+def test_to_jsonl_spells_nests_of_every_digit_width(dtype, nests):
+    """Hand-built rows reach each width the digit table pads to; the middle
+    colony's row is all home and it leaves after round 1."""
+    rows = np.array([nests, [0] * len(nests), nests[::-1]], dtype=dtype)
+    tallies = {"active": np.array([2, 0, 1]), "passive": np.array([1, 3, 2])}
+    counts = np.arange(9).reshape(3, 3)
+    trace = engine.Trace(3, [
+        (1, np.arange(3), counts, tallies, rows),
+        (2, np.array([0, 2]), counts[[0, 2]], {name: t[[0, 2]] for name, t in tallies.items()},
+         rows[[2, 0]]),
+    ])
+    assert trace.to_jsonl() == _dumped(trace)
+    assert trace.records[0]["locations"] == nests
+
+
 COHORTS = {"optimal": OptimalCohort, "simple": SimpleCohort}
 
 

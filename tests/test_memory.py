@@ -4,15 +4,18 @@ numpy reports its array buffers to `tracemalloc`, so the traced peak of a
 `run` through the CLI counts the world, the cohort, the matcher's arrays,
 the trace and the text written out.  At n = 20 000:
 
-- a non-verbose `optimal` run at k = 256 peaks at about 256 bytes an ant
+- a non-verbose `optimal` run at k = 256 peaks at about 210 bytes an ant
   with `visited` packed a bit a nest (33 bytes an ant), against about 480
   with one bool a nest (257 bytes);
-- a verbose run at k = 4 peaks about 2.3 bytes an ant and round above its
-  non-verbose twin, keeping a byte an ant of location a round, against
-  about 8.7 with int64 locations.  Its text, about 2 bytes an ant and
-  round, is built whole either way.
+- a verbose run at k = 4 peaks about 1.2 bytes an ant and round above its
+  non-verbose twin, against about 8.7 with int64 locations.  It keeps a
+  byte an ant of location a round, and peaks while `Trace.to_jsonl` joins
+  its text, about 2 bytes an ant and round, built whole.  Spelling the
+  locations from a digit table instead of lists of ints left this
+  reading where it was.
 
-The bounds sit about 1.25 and 1.5 times above those readings.
+The bounds were set about 1.25 and 1.5 times above the readings of 256
+and 2.3 that the gate was added at, and are kept there.
 """
 
 import json
